@@ -17,6 +17,10 @@ import numpy as np
 # are treated as constant: centered only and excluded from rank downstream.
 _CONSTANT_SD_TOL = 1e-12
 
+# half_split_matrix draws its random keys in blocks of at most this many
+# 64-bit words (512 KiB), whatever the number of rows asked for.
+_KEY_BLOCK = 1 << 16
+
 
 def _as_float_matrix(raw) -> np.ndarray:
     a = np.asarray(raw, dtype=float)
@@ -150,13 +154,38 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def half_split_matrix(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """count x n matrix of independent equal-split 0/1 rows.
+    """count x n int8 matrix of independent equal-split 0/1 rows.
 
     Odd n puts the extra unit in treatment (ceil(n/2) ones per row).
+
+    Each row marks the ceil(n/2) smallest of n random 64-bit keys taken
+    from `gen.bit_generator.random_raw`. The low bit_length(n-1) bits of
+    every key are replaced by its column index, so keys never tie and
+    every row is an exact split by construction. The subset is uniform
+    over all ceil(n/2)-subsets except when two keys agree in all of
+    their remaining high bits, an event of probability below
+    n^2 / 2^(65 - bit_length(n-1)).
+
+    Keys are drawn in blocks of at most `_KEY_BLOCK` words (one row per
+    block when n is larger) and consumed in row-major order. So from one
+    generator state the rows do not depend on how `count` is split across
+    calls: one call of a + b rows equals a call of a rows followed by a
+    call of b rows.
     """
-    base = np.zeros(n, dtype=np.int8)
-    base[: (n + 1) // 2] = 1
-    return gen.permuted(np.tile(base, (count, 1)), axis=1)
+    k = (n + 1) // 2
+    out = np.empty((count, n), dtype=np.int8)
+    flags = out.view(np.bool_)
+    high = np.uint64((1 << 64) - (1 << (n - 1).bit_length()))
+    cols = np.arange(n, dtype=np.uint64)
+    step = max(1, _KEY_BLOCK // n)
+    for lo in range(0, count, step):
+        m = min(step, count - lo)
+        keys = gen.bit_generator.random_raw(m * n).reshape(m, n)
+        np.bitwise_and(keys, high, out=keys)
+        np.bitwise_or(keys, cols, out=keys)
+        kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+        np.less_equal(keys, kth, out=flags[lo : lo + m])
+    return out
 
 
 def standardize(raw) -> CovariateMatrix:

@@ -134,8 +134,9 @@ def rerandomize(
         hits = np.nonzero(dists <= criterion.threshold)[0]
         if hits.size:
             first = int(hits[0])
+            # copy, so the returned allocation does not keep the batch alive
             return RerandomizationResult(
-                _row_allocation(rows[first], n),
+                _row_allocation(rows[first].copy(), n),
                 float(dists[first]),
                 done + first + 1,
                 True,

@@ -1,7 +1,11 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
 from rerand.core import (
     Allocation,
@@ -162,12 +166,48 @@ class TestRngStream:
         y = root.child(8).generator().standard_normal(1000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.12
 
-    def test_half_split_matrix_row_sums(self):
-        gen = RngStream(9).generator()
-        m = half_split_matrix(10, 50, gen)
-        np.testing.assert_array_equal(m.sum(axis=1), 5)
-        m_odd = half_split_matrix(7, 50, gen)
-        np.testing.assert_array_equal(m_odd.sum(axis=1), 4)
+
+class TestHalfSplitMatrix:
+    @given(
+        n=st.integers(2, 400),
+        count=st.integers(0, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_exact_splits(self, n, count, seed):
+        m = half_split_matrix(n, count, RngStream(seed).generator())
+        assert m.dtype == np.int8 and m.shape == (count, n)
+        assert np.all((m == 0) | (m == 1))
+        np.testing.assert_array_equal(m.sum(axis=1), (n + 1) // 2)
+
+    @given(
+        n=st.integers(2, 400),
+        a=st.integers(0, 200),
+        b=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_calls_equal_one_call(self, n, a, b, seed):
+        whole = half_split_matrix(n, a + b, RngStream(seed).generator())
+        gen = RngStream(seed).generator()
+        parts = [half_split_matrix(n, a, gen), half_split_matrix(n, b, gen)]
+        np.testing.assert_array_equal(whole, np.vstack(parts))
+
+    def test_split_calls_across_key_blocks(self):
+        # at n=1000 one key block holds 65 rows: these calls start and end
+        # inside blocks, and the last two span many blocks
+        counts = [1, 15, 64, 900, 2020]
+        whole = half_split_matrix(1000, sum(counts), RngStream(71).generator())
+        gen = RngStream(71).generator()
+        parts = [half_split_matrix(1000, c, gen) for c in counts]
+        np.testing.assert_array_equal(whole, np.vstack(parts))
+
+    @pytest.mark.parametrize("n, seed", [(6, 72), (7, 73)])
+    def test_uniform_over_all_splits(self, n, seed):
+        # 20 equal splits of 6 units, 35 near-equal splits of 7 units
+        rows = half_split_matrix(n, 60000, RngStream(seed).generator())
+        codes = rows.astype(np.int64) @ (1 << np.arange(n))
+        _, counts = np.unique(codes, return_counts=True)
+        assert counts.size == math.comb(n, (n + 1) // 2)
+        assert stats.chisquare(counts).pvalue > 0.001
 
 
 class TestSigmaFactor:

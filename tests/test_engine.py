@@ -1,11 +1,20 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rerand.balance import batch_distances, calibrate, mahalanobis
-from rerand.core import RngStream, half_split_matrix, standardize
+from rerand.balance import (
+    batch_distances,
+    calibrate,
+    mahalanobis,
+    mahalanobis_pca,
+    mahalanobis_ridge,
+)
+from rerand.core import RngStream, half_split_matrix, make_allocation, standardize
 from rerand.engine import (
     _BATCH_START,
     accepted_sample,
@@ -18,6 +27,31 @@ from rerand.spectral import decompose
 def _setup(n, d, seed):
     x = standardize(np.random.default_rng(seed).standard_normal((n, d)))
     return x, decompose(x)
+
+
+@functools.cache
+def _small_design(scheme):
+    x, basis = _setup(30, 5, 40)
+    return x, basis, calibrate(scheme, 0.02, basis, k=3, n_cal=2000)
+
+
+def _draw_at_a_time(x, basis, crit, rng, max_draws):
+    """Reference rejection loop: one row per draw, scalar distances."""
+    distance = {
+        "rer": lambda w: mahalanobis(x, basis, w),
+        "pca": lambda w: mahalanobis_pca(basis, crit.k, w),
+        "ridge": lambda w: mahalanobis_ridge(x, basis, crit.lam, w),
+    }[crit.scheme]
+    gen = rng.generator()
+    best_value, best = np.inf, None
+    for i in range(max_draws):
+        w = make_allocation(half_split_matrix(x.n, 1, gen)[0])
+        value = distance(w)
+        if value <= crit.threshold:
+            return w, value, i + 1, True
+        if value < best_value:
+            best_value, best = value, w
+    return best, best_value, max_draws, False
 
 
 class TestCompleteRandomization:
@@ -139,6 +173,34 @@ class TestRerandomize:
         ]
         mean = float(np.mean(draws))
         assert 10 < mean < 40  # geometric with success prob near 0.05
+
+    @given(
+        scheme=st.sampled_from(["rer", "pca", "ridge"]),
+        seed=st.integers(0, 2**32 - 1),
+        max_draws=st.integers(1, 400),
+    )
+    def test_batched_loop_matches_draw_at_a_time(self, scheme, seed, max_draws):
+        # max_draws up to 400 spans the 16-, 64- and 256-row batches
+        x, basis, crit = _small_design(scheme)
+        res = rerandomize(x, crit, RngStream(seed), max_draws=max_draws, basis=basis)
+        w, value, draws, accepted = _draw_at_a_time(
+            x, basis, crit, RngStream(seed), max_draws
+        )
+        np.testing.assert_array_equal(res.allocation.assignment, w.assignment)
+        assert res.criterion_value == pytest.approx(value, rel=1e-9)
+        assert (res.draws_attempted, res.accepted) == (draws, accepted)
+
+    def test_allocation_owns_its_data(self):
+        # a view would keep the whole draw batch alive with the result
+        x, basis = _setup(40, 5, 41)
+        crit = calibrate("pca", 0.05, basis, k=3)
+        res = rerandomize(x, crit, RngStream(42), basis=basis)
+        assert res.accepted and res.draws_attempted > 1
+        assert res.allocation.assignment.base is None
+        tight = dataclasses.replace(crit, threshold=1e-9)
+        res = rerandomize(x, tight, RngStream(42), max_draws=50, basis=basis)
+        assert not res.accepted
+        assert res.allocation.assignment.base is None
 
     def test_errors(self):
         x, basis = _setup(20, 3, 20)
