@@ -14,7 +14,9 @@ and the standardized summand of every criterion reduces to
 with c = r/(n-1) the per-sigma^2 scale of cov(xbar_T - xbar_C). At an
 exact split c equals C_n = 4/(n^2 - n). Then M = sum_j t_j, the top-k
 criterion truncates the sum, and the ridge criterion down-weights term j
-by c sigma_j^2 / (c sigma_j^2 + lambda).
+by c sigma_j^2 / (c sigma_j^2 + lambda). "rer" is therefore the top-k
+criterion with k = p (stored as k = None), and every batch distance comes
+from one kernel of summands.
 
 The ridge threshold has no closed form (the criterion follows a mixture
 law), so it is calibrated as an empirical quantile over seeded Monte
@@ -25,7 +27,7 @@ Carlo estimates, not closed forms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .core import (
     Allocation,
     CovariateMatrix,
     RngStream,
-    group_means,
     half_split_matrix,
     sigma_factor,
 )
@@ -57,9 +58,11 @@ class BalanceCriterion:
     """A calibrated acceptance rule for one randomization scheme.
 
     scheme is one of {"cr", "rer", "ridge", "pca"}; threshold is None for
-    "cr". dof records the chi-square degrees of freedom used to set the
-    threshold ("rer"/"pca" only). degenerate flags the rank = n-1 case in
-    which M is the constant n-1 and the rule cannot discriminate.
+    "cr". k is the number of leading components summed ("pca" only; None
+    means all p, which is "rer"). dof records the chi-square degrees of
+    freedom used to set the threshold ("rer"/"pca" only). degenerate flags
+    the rank = n-1 case in which M is the constant n-1 and the rule cannot
+    discriminate.
     """
 
     scheme: str
@@ -132,9 +135,8 @@ def mahalanobis_ridge(
 ) -> float:
     """Ridge-regularized distance diff' (Sigma + lambda I)^{-1} diff.
 
-    The orthogonal-complement contribution diff'(I - VV')diff / lambda is
-    included when the rank is deficient; it is zero whenever diff lies in
-    the column space of V, which holds by construction for centered X.
+    For centered X the mean difference lies in the column space of V, so
+    the spectral sum is the whole distance even when the rank is deficient.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -146,13 +148,31 @@ def mahalanobis_ridge(
         return mahalanobis(x, basis, w)
     t = _standardized_terms(basis, w)
     c = sigma_factor(w.n_treated, w.n_control)
+    return float((_ridge_weights(basis, c, lam) * t).sum())
+
+
+def _terms(basis: SpectralBasis, w_matrix: np.ndarray, k: int | None) -> np.ndarray:
+    """Summands t_j of the leading k components (all p for k = None), one
+    column per allocation row of w_matrix; the slice keeps the top-k cost
+    per draw at O(nk)."""
+    wt = np.asarray(w_matrix, dtype=float).T
+    n = wt.shape[0]
+    if n != basis.n:
+        raise ValueError("allocation length disagrees with basis rows")
+    n_t = int(round(wt[:, 0].sum()))
+    r = 1.0 / n_t + 1.0 / (n - n_t)
+    return r * (n - 1) * (basis.u[:, :k].T @ wt) ** 2
+
+
+def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
+    """Ridge down-weights c sigma_j^2 / (c sigma_j^2 + lambda)."""
     scaled = c * basis.singular_values**2
-    total = float((scaled / (scaled + lam) * t).sum())
-    if basis.p < basis.d:
-        diff = group_means(x, w).diff
-        resid = diff - basis.v @ (basis.v.T @ diff)
-        total += float(resid @ resid) / lam
-    return total
+    return scaled / (scaled + lam)
+
+
+def _variance_ratio(terms: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """Per-component variance of the accepted draws over that of all draws."""
+    return terms[:, accepted].mean(axis=1) / terms.mean(axis=1)
 
 
 def batch_distances(
@@ -166,21 +186,9 @@ def batch_distances(
     """
     if criterion.scheme == "cr":
         raise ValueError("complete randomization has no balance distance")
-    wt = np.asarray(w_matrix, dtype=float).T
-    n = wt.shape[0]
-    if n != basis.n:
-        raise ValueError("allocation length disagrees with basis rows")
-    n_t = int(round(wt[:, 0].sum()))
-    r = 1.0 / n_t + 1.0 / (n - n_t)
-    if criterion.scheme == "pca":
-        proj = basis.u[:, : criterion.k].T @ wt
-        return r * (n - 1) * (proj**2).sum(axis=0)
-    proj = basis.u.T @ wt
-    terms = r * (n - 1) * proj**2
+    terms = _terms(basis, w_matrix, criterion.k)
     if criterion.scheme == "ridge":
-        scaled = criterion.sigma_factor * basis.singular_values**2
-        weights = scaled / (scaled + criterion.lam)
-        return weights @ terms
+        return _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
     return terms.sum(axis=0)
 
 
@@ -220,25 +228,20 @@ def choose_lambda(
         return base
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
-    w_mat = _calibration_draws(basis, n_cal, rng)
-    wt = w_mat.astype(float).T
-    n = basis.n
-    n_t = int(round(wt[:, 0].sum()))
-    r = 1.0 / n_t + 1.0 / (n - n_t)
-    terms = r * (n - 1) * (basis.u.T @ wt) ** 2
-    scaled = sigma_factor(n - n // 2, n // 2) * basis.singular_values**2
+    terms = _terms(basis, _calibration_draws(basis, n_cal, rng), None)
+    c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
     btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
     sig2 = basis.singular_values**2
 
     best_lam, best_score = base, -np.inf
     for g in range(-6, 7):
         lam = base * 10.0**g
-        dists = (scaled / (scaled + lam)) @ terms
+        dists = _ridge_weights(basis, c_n, lam) @ terms
         a = float(np.quantile(dists, p_a))
         acc = dists <= a
         if not acc.any():
             continue
-        xi = terms[:, acc].mean(axis=1) / terms.mean(axis=1)
+        xi = _variance_ratio(terms, acc)
         score = float(((1.0 - xi) * sig2 * btil2).sum())
         if score > best_score + 1e-12:
             best_lam, best_score = lam, score
@@ -257,11 +260,12 @@ def calibrate(
     """Build an acceptance rule with threshold set to hit p_a.
 
     "rer" and "pca" thresholds are chi-square quantiles (dof = effective
-    rank, resp. k). "ridge" is calibrated as the empirical p_a quantile of
-    the criterion over n_cal seeded complete randomizations. "cr" has no
-    threshold. When the effective rank equals n-1 the full-rank distance
-    is the constant n-1; the rule is flagged degenerate and the engine
-    falls back to complete randomization.
+    rank, resp. k); "rer" is "pca" over all p components, so k is ignored
+    for it. "ridge" is calibrated as the empirical p_a quantile of the
+    criterion over n_cal seeded complete randomizations. "cr" has no
+    threshold. Arguments a scheme does not use are ignored. When the
+    criterion sums all p = n-1 components it is the constant n-1; the rule
+    is flagged degenerate and the engine decides it on a single draw.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -273,35 +277,28 @@ def calibrate(
     if scheme == "cr":
         return BalanceCriterion("cr", p_a, c_n, threshold=None)
 
-    if scheme == "pca":
-        if k is None:
-            raise ValueError("pca scheme requires k")
-        if not 1 <= k <= basis.p:
-            raise ValueError(f"k must lie in [1, {basis.p}]")
-        a_k = chi2_quantile(k, p_a)
-        crit = BalanceCriterion("pca", p_a, c_n, threshold=a_k, k=k, dof=k)
-        if k == basis.p == n - 1:
-            crit = _flag_degenerate(crit, n)
-        return crit
+    if scheme == "ridge":
+        if lam is None:
+            lam = default_lambda(basis)
+        if lam < 0:
+            raise ValueError("lambda must be nonnegative")
+        probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam))
+        dists = batch_distances(probe, basis, _calibration_draws(basis, n_cal, rng))
+        return replace(probe, threshold=float(np.quantile(dists, p_a)))
 
     if scheme == "rer":
-        dof = basis.p
-        a = chi2_quantile(dof, p_a)
-        crit = BalanceCriterion("rer", p_a, c_n, threshold=a, dof=dof)
-        if basis.p == n - 1:
-            crit = _flag_degenerate(crit, n)
-        return crit
-
-    # ridge
-    if lam is None:
-        lam = default_lambda(basis)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam))
-    w_mat = _calibration_draws(basis, n_cal, rng)
-    dists = batch_distances(probe, basis, w_mat)
-    a_lam = float(np.quantile(dists, p_a))
-    return BalanceCriterion("ridge", p_a, c_n, threshold=a_lam, lam=float(lam))
+        k = None
+    elif k is None:
+        raise ValueError("pca scheme requires k")
+    elif not 1 <= k <= basis.p:
+        raise ValueError(f"k must lie in [1, {basis.p}]")
+    dof = basis.p if k is None else k
+    crit = BalanceCriterion(
+        scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof
+    )
+    if dof == basis.p == n - 1:
+        crit = _flag_degenerate(crit, n)
+    return crit
 
 
 def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
@@ -313,36 +310,19 @@ def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
         "discriminate and the scheme degenerates to complete randomization"
     )
     warnings.warn(note, UserWarning, stacklevel=3)
-    return BalanceCriterion(
-        crit.scheme,
-        crit.acceptance_prob,
-        crit.sigma_factor,
-        crit.threshold,
-        k=crit.k,
-        lam=crit.lam,
-        dof=crit.dof,
-        degenerate=True,
-        note=note,
-    )
+    return replace(crit, degenerate=True, note=note)
 
 
 def _ridge_component_shrinkage(
     criterion: BalanceCriterion, basis: SpectralBasis, n_cal: int = 10000
 ) -> np.ndarray:
     # Monte Carlo per-component variance ratio on the calibration stream.
-    w_mat = _calibration_draws(basis, n_cal, None)
-    wt = w_mat.astype(float).T
-    n = basis.n
-    n_t = int(round(wt[:, 0].sum()))
-    r = 1.0 / n_t + 1.0 / (n - n_t)
-    terms = r * (n - 1) * (basis.u.T @ wt) ** 2
-    scaled = criterion.sigma_factor * basis.singular_values**2
-    dists = (scaled / (scaled + criterion.lam)) @ terms
+    terms = _terms(basis, _calibration_draws(basis, n_cal, None), None)
+    dists = _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
     acc = dists <= criterion.threshold
     if not acc.any():
         return np.ones(basis.p)
-    xi = terms[:, acc].mean(axis=1) / terms.mean(axis=1)
-    return np.clip(xi, 1e-12, 1.0)
+    return np.clip(_variance_ratio(terms, acc), 1e-12, 1.0)
 
 
 def predict_reduction(
@@ -358,19 +338,14 @@ def predict_reduction(
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")
-    p = basis.p
     shrink_value: float | None = None
-    if criterion.scheme == "cr":
-        shrink = np.ones(p)
-    elif criterion.scheme == "rer":
-        shrink_value = shrinkage_coeff(criterion.dof, criterion.threshold)
-        shrink = np.full(p, shrink_value)
-    elif criterion.scheme == "pca":
-        shrink_value = shrinkage_coeff(criterion.dof, criterion.threshold)
-        shrink = np.ones(p)
-        shrink[: criterion.k] = shrink_value
-    else:
+    if criterion.scheme == "ridge":
         shrink = _ridge_component_shrinkage(criterion, basis)
+    else:
+        shrink = np.ones(basis.p)
+        if criterion.scheme != "cr":
+            shrink_value = shrinkage_coeff(criterion.dof, criterion.threshold)
+            shrink[: criterion.k] = shrink_value
 
     sig2 = basis.singular_values**2
     v2 = basis.v**2  # d x p

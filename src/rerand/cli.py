@@ -19,7 +19,7 @@ import os
 import secrets
 import sys
 
-from .balance import calibrate, choose_lambda, predict_reduction
+from .balance import calibrate, predict_reduction
 from .core import (
     RngStream,
     format_float,
@@ -69,7 +69,7 @@ simulate writes into --out:
 Config file: one "key = value" per line, '#' comments, comma lists.
 Keys: n, d, rho, schemes, surfaces, betas, resid_vars, replications,
 groups, pa, gamma, lambda (number or auto), tau, max_draws, ridge_n_cal,
-master_n, master_d, seed.
+seed.
 """
 
 _DIAGNOSE_SCHEMA = """\
@@ -127,13 +127,7 @@ def _cmd_allocate(args) -> int:
     basis = decompose(x)
     sel = select_k(basis, args.gamma)
     lam = _parse_lambda(getattr(args, "lambda"))
-
-    kwargs = {}
-    if args.scheme == "pca":
-        kwargs["k"] = sel.k
-    elif args.scheme == "ridge":
-        kwargs["lam"] = lam if lam is not None else choose_lambda(basis, args.pa)
-    criterion = calibrate(args.scheme, args.pa, basis, **kwargs)
+    criterion = calibrate(args.scheme, args.pa, basis, k=sel.k, lam=lam)
 
     baseline = complete_randomization(x.n, root.child(0), near_equal=args.near_equal)
     result = rerandomize(
@@ -157,7 +151,7 @@ def _cmd_allocate(args) -> int:
             out.writerow([name, format_float(float(b)), format_float(float(a))])
 
     v_ak = None
-    if criterion.scheme in ("rer", "pca"):
+    if criterion.dof is not None:
         v_ak = shrinkage_coeff(criterion.dof, criterion.threshold)
     payload = {
         "scheme": criterion.scheme,
@@ -193,28 +187,6 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _parse_config(path) -> dict:
-    known = {
-        "n", "d", "rho", "schemes", "surfaces", "betas", "resid_vars",
-        "replications", "groups", "pa", "gamma", "lambda", "tau",
-        "max_draws", "ridge_n_cal", "master_n", "master_d", "seed",
-    }
-    cfg: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value
-    return cfg
-
-
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in text.split(","))
 
@@ -227,52 +199,53 @@ def _strs(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(","))
 
 
+# Study config key -> (FactorGrid field, value parser). The only other
+# accepted key is "seed", which is not part of the grid.
+_GRID_KEYS = {
+    "n": ("n_levels", _ints),
+    "d": ("d_levels", _ints),
+    "rho": ("rho_levels", _floats),
+    "schemes": ("schemes", _strs),
+    "surfaces": ("surfaces", _strs),
+    "betas": ("beta_choices", _strs),
+    "resid_vars": ("resid_vars", _floats),
+    "replications": ("replications", int),
+    "groups": ("groups", int),
+    "pa": ("p_a", float),
+    "gamma": ("gamma", float),
+    "lambda": ("lam", _parse_lambda),
+    "tau": ("tau", float),
+    "max_draws": ("max_draws", int),
+    "ridge_n_cal": ("ridge_n_cal", int),
+}
+
+
+def _parse_config(path) -> dict:
+    cfg: dict = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = text.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in _GRID_KEYS and key != "seed":
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            cfg[key] = value
+    return cfg
+
+
 def _grid_from_config(cfg: dict) -> FactorGrid:
     for req in ("n", "d", "rho"):
         if req not in cfg:
             raise ValueError(f"config is missing required key {req!r}")
-    n_levels = _ints(cfg["n"])
-    d_levels = _ints(cfg["d"])
-    if "master_n" in cfg:
-        master_n = int(cfg["master_n"])
-        for n in n_levels:
-            if n > master_n:
-                raise ValueError(f"n level {n} exceeds master_n {master_n}")
-    if "master_d" in cfg:
-        master_d = int(cfg["master_d"])
-        for d in d_levels:
-            if d > master_d:
-                raise ValueError(f"d level {d} exceeds master_d {master_d}")
-    kwargs = dict(
-        n_levels=n_levels,
-        d_levels=d_levels,
-        rho_levels=_floats(cfg["rho"]),
-    )
-    if "schemes" in cfg:
-        kwargs["schemes"] = _strs(cfg["schemes"])
-    if "surfaces" in cfg:
-        kwargs["surfaces"] = _strs(cfg["surfaces"])
-    if "betas" in cfg:
-        kwargs["beta_choices"] = _strs(cfg["betas"])
-    if "resid_vars" in cfg:
-        kwargs["resid_vars"] = _floats(cfg["resid_vars"])
-    if "replications" in cfg:
-        kwargs["replications"] = int(cfg["replications"])
-    if "groups" in cfg:
-        kwargs["groups"] = int(cfg["groups"])
-    if "pa" in cfg:
-        kwargs["p_a"] = float(cfg["pa"])
-    if "gamma" in cfg:
-        kwargs["gamma"] = float(cfg["gamma"])
-    if "lambda" in cfg:
-        kwargs["lam"] = _parse_lambda(cfg["lambda"])
-    if "tau" in cfg:
-        kwargs["tau"] = float(cfg["tau"])
-    if "max_draws" in cfg:
-        kwargs["max_draws"] = int(cfg["max_draws"])
-    if "ridge_n_cal" in cfg:
-        kwargs["ridge_n_cal"] = int(cfg["ridge_n_cal"])
-    return FactorGrid(**kwargs)
+    return FactorGrid(**{
+        name: parse(cfg[key])
+        for key, (name, parse) in _GRID_KEYS.items()
+        if key in cfg
+    })
 
 
 def _cmd_simulate(args) -> int:

@@ -63,10 +63,7 @@ def complete_randomization(n: int, rng, near_equal: bool = False) -> Allocation:
             UserWarning,
             stacklevel=2,
         )
-    gen = as_generator(rng)
-    row = half_split_matrix(n, 1, gen)[0]
-    n_t = (n + 1) // 2
-    return Allocation(row, n_t, n - n_t)
+    return _row_allocation(half_split_matrix(n, 1, as_generator(rng))[0], n)
 
 
 def _row_allocation(row: np.ndarray, n: int) -> Allocation:
@@ -86,8 +83,8 @@ def rerandomize(
 
     Returns the first accepted allocation. If max_draws is exhausted the
     allocation with the smallest criterion value seen is returned with
-    accepted=False. A degenerate criterion (constant distance) skips the
-    loop entirely and behaves like complete randomization.
+    accepted=False. A degenerate criterion (constant distance) is decided
+    on a single draw and behaves like complete randomization.
 
     Args:
         x: standardized covariates.
@@ -113,15 +110,9 @@ def rerandomize(
 
     if basis is None:
         basis = decompose(x)
-
     if criterion.degenerate:
-        row = half_split_matrix(n, 1, gen)[0]
-        value = float(batch_distances(criterion, basis, row[None, :])[0])
-        w = _row_allocation(row, n)
-        accepted = value <= criterion.threshold
-        return RerandomizationResult(
-            w, value, 1, accepted, time.perf_counter() - start
-        )
+        # every draw has the same distance, so the first one decides
+        max_draws = 1
 
     best_value = np.inf
     best_row = None

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .balance import BalanceCriterion, calibrate
+from .balance import calibrate
 from .core import (
     Allocation,
     CovariateMatrix,
@@ -232,18 +232,6 @@ def beta_vector(choice: str, d: int, basis=None, k: int | None = None) -> np.nda
     raise ValueError(f"unknown beta choice {choice!r}")
 
 
-def _make_criterion(scheme: str, grid: FactorGrid, basis, k: int) -> BalanceCriterion:
-    if scheme == "cr":
-        return calibrate("cr", grid.p_a, basis)
-    if scheme == "rer":
-        return calibrate("rer", grid.p_a, basis)
-    if scheme == "pca":
-        return calibrate("pca", grid.p_a, basis, k=k)
-    return calibrate(
-        "ridge", grid.p_a, basis, lam=grid.lam, n_cal=grid.ridge_n_cal
-    )
-
-
 def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
     """Run the factorial study and assemble per-cell records.
 
@@ -316,7 +304,10 @@ def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
                     # each replication's matrix needs its own criterion,
                     # and for ridge that is a Monte Carlo step.
                     t0 = time.perf_counter()
-                    crit = _make_criterion(scheme, grid, basis, sel.k)
+                    crit = calibrate(
+                        scheme, grid.p_a, basis, k=sel.k, lam=grid.lam,
+                        n_cal=grid.ridge_n_cal,
+                    )
                     res = rerandomize(
                         x,
                         crit,
@@ -329,7 +320,7 @@ def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
                     if scheme != "cr" and not res.accepted:
                         exhausted[(ci, scheme)] += 1
                     diffs[(ci, scheme)][rep] = group_means(x, w).diff
-                    if scheme in ("rer", "pca") and not crit.degenerate:
+                    if crit.dof is not None and not crit.degenerate:
                         vaks[(ci, scheme)][rep] = shrinkage_coeff(
                             crit.dof, crit.threshold
                         )
@@ -487,23 +478,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# (output name, CellRecord attribute) of each deterministic record field,
+# in metrics.csv column order; summary.json records use the same names.
+_RECORD_FIELDS = (
+    ("n", "n"), ("d", "d"), ("rho", "rho"), ("surface", "surface"),
+    ("beta", "beta_choice"), ("resid_var", "resid_var"), ("scheme", "scheme"),
+    ("r_sigma_bar_sq", "r_sigma_bar_sq"), ("r_mse", "r_mse"),
+    ("k_selected", "k_selected"), ("k_mean", "k_mean"), ("v_ak", "v_ak"),
+    ("exhausted", "exhausted"),
+)
+
+
+def _record_fields(r: CellRecord) -> dict:
+    return {name: getattr(r, attr) for name, attr in _RECORD_FIELDS}
+
+
 def write_metrics_csv(report: SimReport, path) -> None:
     """Per-record metrics table. Timing is deliberately not included
     here (it is not reproducible byte for byte); see write_timings_csv."""
-    cols = [
-        "n", "d", "rho", "surface", "beta", "resid_var", "scheme",
-        "r_sigma_bar_sq", "r_mse", "k_selected", "k_mean", "v_ak", "exhausted",
-    ]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(cols)
+        out.writerow([name for name, _ in _RECORD_FIELDS])
         for r in report.records:
-            out.writerow([
-                r.n, r.d, _fmt(r.rho), r.surface, r.beta_choice,
-                _fmt(r.resid_var), r.scheme, _fmt(r.r_sigma_bar_sq),
-                _fmt(r.r_mse), _fmt(r.k_selected), _fmt(r.k_mean),
-                _fmt(r.v_ak), r.exhausted,
-            ])
+            out.writerow([_fmt(v) for v in _record_fields(r).values()])
 
 
 def write_anova_csv(rows: list[AnovaRow], path) -> None:
@@ -548,24 +545,7 @@ def write_summary_json(report: SimReport, path) -> None:
             "tau": grid.tau,
             "max_draws": grid.max_draws,
         },
-        "records": [
-            {
-                "n": r.n,
-                "d": r.d,
-                "rho": r.rho,
-                "surface": r.surface,
-                "beta": r.beta_choice,
-                "resid_var": r.resid_var,
-                "scheme": r.scheme,
-                "r_sigma_bar_sq": r.r_sigma_bar_sq,
-                "r_mse": r.r_mse,
-                "k_selected": r.k_selected,
-                "k_mean": r.k_mean,
-                "v_ak": r.v_ak,
-                "exhausted": r.exhausted,
-            }
-            for r in report.records
-        ],
+        "records": [_record_fields(r) for r in report.records],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rerand.balance import (
     BalanceCriterion,
@@ -206,6 +208,69 @@ class TestBatchDistances:
         crit = calibrate("cr", 0.05, basis)
         with pytest.raises(ValueError):
             batch_distances(crit, basis, half_split_matrix(10, 4, RngStream(39).generator()))
+
+
+class TestCriterionIdentities:
+    def test_rer_is_pca_over_every_component(self):
+        x, basis = _setup(40, 8, 63)
+        rer = calibrate("rer", 0.05, basis, k=3)  # k is not used by rer
+        pca = calibrate("pca", 0.05, basis, k=basis.p)
+        assert rer.k is None
+        assert (rer.threshold, rer.dof) == (pca.threshold, pca.dof)
+        rows = half_split_matrix(40, 50, RngStream(64).generator())
+        np.testing.assert_array_equal(
+            batch_distances(rer, basis, rows), batch_distances(pca, basis, rows)
+        )
+        np.testing.assert_array_equal(
+            predict_reduction(rer, basis).per_component_shrinkage,
+            predict_reduction(pca, basis).per_component_shrinkage,
+        )
+
+    @given(
+        half=st.integers(2, 30),
+        d=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_complement_has_the_same_distance(self, half, d, seed):
+        # M(W) = M(1 - W) at an exact split, since U'1 = 0 for centered X
+        n = 2 * half
+        x, basis = _setup(n, d, seed)
+        k = max(1, basis.p // 2)
+        lam = default_lambda(basis)
+        c = sigma_factor(half, half)
+        rows = half_split_matrix(n, 8, RngStream(seed).generator())
+        tol = dict(rtol=1e-9, atol=1e-9 * n)
+        for crit in (
+            BalanceCriterion("rer", 0.05, c, threshold=np.inf),
+            BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
+            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
+        ):
+            np.testing.assert_allclose(
+                batch_distances(crit, basis, rows),
+                batch_distances(crit, basis, 1 - rows),
+                **tol,
+            )
+        for w in (make_allocation(row) for row in rows[:2]):
+            flip = w.complement()
+            for single in (
+                lambda a: mahalanobis(x, basis, a),
+                lambda a: mahalanobis_pca(basis, k, a),
+                lambda a: mahalanobis_ridge(x, basis, lam, a),
+            ):
+                np.testing.assert_allclose(single(w), single(flip), **tol)
+
+    @given(
+        scheme=st.sampled_from(["rer", "pca", "ridge"]),
+        levels=st.lists(st.integers(1, 999), min_size=2, max_size=6, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_threshold_nondecreasing_in_pa(self, scheme, levels, seed):
+        x, basis = _setup(30, 6, seed)
+        thresholds = [
+            calibrate(scheme, level / 1000, basis, k=3, n_cal=500).threshold
+            for level in sorted(levels)
+        ]
+        assert all(lo <= hi for lo, hi in zip(thresholds, thresholds[1:]))
 
 
 class TestCalibrate:

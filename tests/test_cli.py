@@ -1,10 +1,15 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rerand.cli import main
+from rerand.cli import _GRID_KEYS, _grid_from_config, _parse_config, main
+from rerand.simharness import FactorGrid
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cov_csv(path, n=20, d=3, seed=0):
@@ -186,16 +191,48 @@ class TestSimulate:
         missing.write_text("n = 16\nd = 3\n")
         assert main(["simulate", "--config", str(missing), "--out", out]) == 1
 
-        over = tmp_path / "over.cfg"
-        over.write_text("n = 16, 32\nd = 3\nrho = 0.5\nmaster_n = 24\n")
-        assert main(["simulate", "--config", str(over), "--out", out]) == 1
-        assert "32" in capsys.readouterr().err
+        # the study always nests cells in max(n) x max(d), so there is no
+        # master-size key
+        master = tmp_path / "master.cfg"
+        master.write_text("n = 16, 32\nd = 3\nrho = 0.5\nmaster_n = 24\n")
+        assert main(["simulate", "--config", str(master), "--out", out]) == 1
+        assert "unknown key 'master_n'" in capsys.readouterr().err
 
         assert main(["simulate", "--out", out]) == 1
 
     def test_schema_flag(self, capsys):
         assert main(["simulate", "--schema"]) == 0
         assert "metrics.csv" in capsys.readouterr().out
+
+
+class TestStudyConfig:
+    def test_shipped_presets_parse(self):
+        desk = _parse_config(_CONFIGS / "desk_study.cfg")
+        assert desk["seed"] == "20260826"
+        assert _grid_from_config(desk) == FactorGrid(
+            n_levels=(100,), d_levels=(10,), rho_levels=(0.1, 0.9),
+            schemes=("rer", "pca"), replications=500, groups=5,
+            p_a=0.05, gamma=0.95, tau=1.0,
+        )
+        full = _parse_config(_CONFIGS / "full_factorial.cfg")
+        assert full["seed"] == "20260826"
+        assert _grid_from_config(full) == FactorGrid(
+            n_levels=(100, 200, 500, 1000), d_levels=(10, 50, 90, 180),
+            rho_levels=(0.1, 0.5, 0.9), schemes=("rer", "ridge", "pca"),
+            surfaces=("linear", "exp"), beta_choices=("ones", "half_doubled"),
+            resid_vars=(0.5, 1.0), replications=2000, groups=10,
+            p_a=0.05, gamma=0.95, lam=None, tau=1.0,
+        )
+
+    def test_schema_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
+        assert main(["simulate", "--schema"]) == 0
+        text = capsys.readouterr().out
+        keys_text = re.sub(r"\([^)]*\)", "", text.split("Keys:", 1)[1]).rstrip().rstrip(".")
+        listed = {key.strip() for key in keys_text.split(",")}
+        assert listed == set(_GRID_KEYS) | {"seed"}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = 1\n" for key in sorted(listed)))
+        assert set(_parse_config(cfg)) == listed
 
 
 class TestDiagnose:

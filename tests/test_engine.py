@@ -164,6 +164,17 @@ class TestRerandomize:
         assert res.criterion_value == pytest.approx(3.0, abs=1e-10)
         assert not res.accepted  # constant 3 sits above the chi-square cutoff
 
+    def test_degenerate_above_threshold_accepts_first_draw(self):
+        # chi2_3 quantile at 0.9 is 6.25, above the constant n-1 = 3
+        x, basis = _setup(4, 10, 16)
+        for scheme in ("rer", "pca"):
+            with pytest.warns(UserWarning, match="at or above"):
+                crit = calibrate(scheme, 0.9, basis, k=basis.p)
+            assert crit.degenerate and crit.threshold > 3.0
+            res = rerandomize(x, crit, RngStream(17), basis=basis)
+            assert res.accepted and res.draws_attempted == 1
+            assert res.criterion_value == pytest.approx(3.0, abs=1e-10)
+
     def test_acceptance_rate_drives_draw_count(self):
         x, basis = _setup(100, 10, 18)
         crit = calibrate("pca", 0.05, basis, k=5)
