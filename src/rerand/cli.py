@@ -60,7 +60,8 @@ simulate writes into --out:
   metrics.csv        n, d, rho, surface, beta, resid_var, scheme,
                      r_sigma_bar_sq, r_mse, k_selected, k_mean, v_ak,
                      exhausted                        (deterministic)
-  summary.json       study config + the records above (deterministic)
+  summary.json       master_seed, every grid setting (ridge_n_cal
+                     included), the records above     (deterministic)
   anova_r_sigma.csv  term, df, sum_sq, mean_sq, f_ratio (deterministic;
                      needs groups >= 2)
   anova_r_mse.csv    same columns                     (deterministic)
@@ -256,13 +257,10 @@ def _cmd_simulate(args) -> int:
         raise ValueError("simulate requires --config")
     cfg = _parse_config(args.config)
     grid = _grid_from_config(cfg)
-    if args.seed is not None:
-        seed = int(args.seed)
-    elif "seed" in cfg:
+    if args.seed is None and "seed" in cfg:
         seed = int(cfg["seed"])
     else:
-        seed = secrets.randbits(63)
-        print(f"seed: {seed} (drawn from system entropy; pass --seed to reproduce)")
+        seed = _resolve_seed(args)
 
     report = run_study(grid, seed)
     os.makedirs(args.out, exist_ok=True)

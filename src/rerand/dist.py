@@ -4,7 +4,9 @@ Self-contained (math module only). The CDF goes through the regularized
 lower incomplete gamma function with the standard series / continued
 fraction split, which keeps absolute error comfortably below 1e-12 over
 the dof and x ranges the rest of the package needs (dof up to a few
-hundred, x up to a few thousand).
+hundred, x up to a few thousand). Both need about 9 sqrt(a) terms near
+x = a, so the term cap covers shape a up to about 1e8; a loop that
+reaches it raises instead of returning an unconverged value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 
 _EPS = 1e-16
-_MAX_ITER = 500
+_MAX_ITER = 100_000
 
 
 def _lower_reg_gamma_series(a: float, x: float) -> float:
@@ -24,6 +26,8 @@ def _lower_reg_gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise RuntimeError(f"incomplete gamma series did not converge (a={a}, x={x})")
     log_prefix = a * math.log(x) - x - math.lgamma(a)
     return total * math.exp(log_prefix)
 
@@ -49,6 +53,8 @@ def _upper_reg_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise RuntimeError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
     log_prefix = a * math.log(x) - x - math.lgamma(a)
     return math.exp(log_prefix) * h
 
@@ -75,11 +81,13 @@ def chi2_cdf(dof, x: float) -> float:
 
     Args:
         dof: positive integer degrees of freedom.
-        x: evaluation point, must be >= 0.
+        x: evaluation point, must be >= 0 (infinity gives 1).
     """
     k = _check_dof(dof)
-    if x < 0:
+    if not x >= 0:  # also rejects NaN
         raise ValueError("chi-square CDF argument must be nonnegative")
+    if x == math.inf:
+        return 1.0
     return min(1.0, _lower_reg_gamma(0.5 * k, 0.5 * x))
 
 

@@ -21,6 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,7 +136,6 @@ class CellRecord:
     scheme: str
     r_sigma_bar_sq: float
     r_mse: float
-    mean_seconds: float
     k_selected: int | None = None
     k_mean: float | None = None
     v_ak: float | None = None
@@ -232,18 +232,19 @@ def beta_vector(choice: str, d: int, basis=None, k: int | None = None) -> np.nda
     raise ValueError(f"unknown beta choice {choice!r}")
 
 
-def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
-    """Run the factorial study and assemble per-cell records.
+class _CellDraw(NamedTuple):
+    """One replication's values for one (n, d) cell. Per-scheme rows
+    follow ("cr",) + grid.schemes, model columns follow _layout."""
 
-    Within a replication, the covariate matrix, the selected basis, and
-    the outcome noise are shared by every scheme; each scheme only
-    contributes its allocation. Metrics are computed per replication
-    group against the complete-randomization baseline, then averaged.
-    """
-    root = RngStream(int(master_seed))
-    R, G = grid.replications, grid.groups
-    block = R // G
-    n_max, d_max = max(grid.n_levels), max(grid.d_levels)
+    k: int
+    diff: np.ndarray  # (schemes, d) covariate mean differences
+    tau_hat: np.ndarray  # (schemes, models) effect estimates
+    seconds: np.ndarray  # (schemes,) calibration plus rejection time
+    v_ak: np.ndarray  # (schemes,) shrinkage coefficient, NaN if none
+    exhausted: np.ndarray  # (schemes,) rejection ran out of draws
+
+
+def _layout(grid: FactorGrid):
     cells = [(n, d) for n in grid.n_levels for d in grid.d_levels]
     schemes = ("cr",) + tuple(grid.schemes)
     models = [
@@ -252,146 +253,123 @@ def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
         for bc in grid.beta_choices
         for rv in grid.resid_vars
     ]
+    return cells, schemes, models
 
-    records: list[CellRecord] = []
-    sigma_groups: dict = {}
-    mse_groups: dict = {}
-    timings: dict = {}
 
-    for rho_idx, rho in enumerate(grid.rho_levels):
-        diffs = {
-            (ci, s): np.empty((R, cells[ci][1]))
-            for ci in range(len(cells))
-            for s in schemes
-        }
-        taus = {
-            (ci, s, mi): np.empty(R)
-            for ci in range(len(cells))
-            for s in schemes
-            for mi in range(len(models))
-        }
-        secs = {(ci, s): np.empty(R) for ci in range(len(cells)) for s in schemes}
-        ks = {ci: np.empty(R, dtype=int) for ci in range(len(cells))}
-        vaks = {(ci, s): np.full(R, np.nan) for ci in range(len(cells)) for s in schemes}
-        exhausted = {(ci, s): 0 for ci in range(len(cells)) for s in schemes}
+def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> list[_CellDraw]:
+    """Score every scheme in every cell on one (rho, replication) draw.
 
-        for rep in range(R):
-            cov_stream = root.child(_COV).child(rho_idx).child(rep)
-            master = gen_covariates(n_max, d_max, rho, cov_stream)
-            noise = (
-                root.child(_NOISE).child(rho_idx).child(rep)
-                .generator().standard_normal(n_max)
-            )
-            alloc_root = root.child(_ALLOC).child(rho_idx).child(rep)
-
-            for ci, (n, d) in enumerate(cells):
-                x = nested_submatrix(master, n, d)
-                basis = decompose(x)
-                sel = select_k(basis, grid.gamma)
-                ks[ci][rep] = sel.k
-                betas = {
-                    bc: beta_vector(bc, d, basis=basis, k=sel.k)
-                    for bc in grid.beta_choices
-                }
-                surfaces = {
-                    (surf, bc): _surface_values(x, surf, betas[bc])
-                    for surf in grid.surfaces
-                    for bc in grid.beta_choices
-                }
-
-                for si, scheme in enumerate(schemes):
-                    # Per-allocation cost includes threshold calibration:
-                    # each replication's matrix needs its own criterion,
-                    # and for ridge that is a Monte Carlo step.
-                    t0 = time.perf_counter()
-                    crit = calibrate(
-                        scheme, grid.p_a, basis, k=sel.k, lam=grid.lam,
-                        n_cal=grid.ridge_n_cal,
-                    )
-                    res = rerandomize(
-                        x,
-                        crit,
-                        alloc_root.child(ci).child(si),
-                        grid.max_draws,
-                        basis=basis,
-                    )
-                    w = res.allocation
-                    secs[(ci, scheme)][rep] = time.perf_counter() - t0
-                    if scheme != "cr" and not res.accepted:
-                        exhausted[(ci, scheme)] += 1
-                    diffs[(ci, scheme)][rep] = group_means(x, w).diff
-                    if crit.dof is not None and not crit.degenerate:
-                        vaks[(ci, scheme)][rep] = shrinkage_coeff(
-                            crit.dof, crit.threshold
-                        )
-                    wvec = np.asarray(w.assignment, dtype=float)
-                    for mi, (surf, bc, rv) in enumerate(models):
-                        y = (
-                            surfaces[(surf, bc)]
-                            + grid.tau * wvec
-                            + np.sqrt(rv) * noise[:n]
-                        )
-                        taus[(ci, scheme, mi)][rep] = float(
-                            y[wvec == 1].mean() - y[wvec == 0].mean()
-                        )
-
-        for ci, (n, d) in enumerate(cells):
-            k_counts = np.bincount(ks[ci])
-            k_modal = int(k_counts.argmax())
-            k_mean = float(ks[ci].mean())
-            for scheme in schemes:
-                r_sig = np.empty(G)
-                for g in range(G):
-                    sl = slice(g * block, (g + 1) * block)
-                    var_s = diffs[(ci, scheme)][sl].var(axis=0, ddof=1).mean()
-                    var_cr = diffs[(ci, "cr")][sl].var(axis=0, ddof=1).mean()
-                    r_sig[g] = 1.0 - var_s / var_cr
-                sigma_groups[(n, d, rho, scheme)] = r_sig
-                timings[(n, d, rho, scheme)] = (
-                    float(secs[(ci, scheme)].mean()),
-                    float(np.median(secs[(ci, scheme)])),
-                )
-                vak_arr = vaks[(ci, scheme)]
-                vak = (
-                    float(np.nanmean(vak_arr))
-                    if not np.all(np.isnan(vak_arr))
-                    else None
-                )
-                for mi, (surf, bc, rv) in enumerate(models):
-                    r_mse = np.empty(G)
-                    for g in range(G):
-                        sl = slice(g * block, (g + 1) * block)
-                        mse_s = np.mean((taus[(ci, scheme, mi)][sl] - grid.tau) ** 2)
-                        mse_cr = np.mean((taus[(ci, "cr", mi)][sl] - grid.tau) ** 2)
-                        r_mse[g] = 1.0 - mse_s / mse_cr
-                    mse_groups[(n, d, rho, surf, bc, rv, scheme)] = r_mse
-                    records.append(
-                        CellRecord(
-                            n=n,
-                            d=d,
-                            rho=rho,
-                            surface=surf,
-                            beta_choice=bc,
-                            resid_var=rv,
-                            scheme=scheme,
-                            r_sigma_bar_sq=float(r_sig.mean()),
-                            r_mse=float(r_mse.mean()),
-                            mean_seconds=timings[(n, d, rho, scheme)][0],
-                            k_selected=k_modal if scheme == "pca" else None,
-                            k_mean=k_mean if scheme == "pca" else None,
-                            v_ak=vak,
-                            exhausted=exhausted[(ci, scheme)],
-                        )
-                    )
-
-    return SimReport(
-        grid=grid,
-        master_seed=int(master_seed),
-        records=records,
-        sigma_groups=sigma_groups,
-        mse_groups=mse_groups,
-        timings=timings,
+    The covariate matrix, the selected basis and the outcome noise are
+    shared by every scheme; each scheme only contributes its allocation.
+    The result depends on the arguments alone, apart from the timings.
+    """
+    cells, schemes, models = _layout(grid)
+    master = gen_covariates(
+        max(grid.n_levels), max(grid.d_levels), grid.rho_levels[rho_idx],
+        root.child(_COV).child(rho_idx).child(rep),
     )
+    noise = root.child(_NOISE).child(rho_idx).child(rep).generator().standard_normal(master.n)
+    alloc_root = root.child(_ALLOC).child(rho_idx).child(rep)
+
+    draws = []
+    for ci, (n, d) in enumerate(cells):
+        x = nested_submatrix(master, n, d)
+        basis = decompose(x)
+        k = select_k(basis, grid.gamma).k
+        betas = {bc: beta_vector(bc, d, basis=basis, k=k) for bc in grid.beta_choices}
+        signal = {
+            (surf, bc): _surface_values(x, surf, betas[bc])
+            for surf in grid.surfaces
+            for bc in grid.beta_choices
+        }
+
+        cell = _CellDraw(
+            k, np.empty((len(schemes), d)), np.empty((len(schemes), len(models))),
+            np.empty(len(schemes)), np.full(len(schemes), np.nan),
+            np.zeros(len(schemes), dtype=bool),
+        )
+        for si, scheme in enumerate(schemes):
+            # Per-allocation cost includes threshold calibration: each
+            # replication's matrix needs its own criterion, and for ridge
+            # that is a Monte Carlo step.
+            t0 = time.perf_counter()
+            crit = calibrate(
+                scheme, grid.p_a, basis, k=k, lam=grid.lam, n_cal=grid.ridge_n_cal,
+            )
+            res = rerandomize(x, crit, alloc_root.child(ci).child(si), grid.max_draws, basis=basis)
+            cell.seconds[si] = time.perf_counter() - t0
+            w = res.allocation
+            cell.exhausted[si] = scheme != "cr" and not res.accepted
+            cell.diff[si] = group_means(x, w).diff
+            if crit.dof is not None and not crit.degenerate:
+                cell.v_ak[si] = shrinkage_coeff(crit.dof, crit.threshold)
+            treat = grid.tau * np.asarray(w.assignment, dtype=float)
+            for mi, (surf, bc, rv) in enumerate(models):
+                y = Outcome(signal[(surf, bc)] + treat + np.sqrt(rv) * noise[:n])
+                cell.tau_hat[si, mi] = sate_estimator(y, w)
+        draws.append(cell)
+    return draws
+
+
+def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
+    """Add one rho level's records, group metrics and timings to report.
+
+    Replications are reshaped to (groups, block) on the axes they occupy
+    per scheme and model, so every sum runs in the order of a reduction
+    over one contiguous group block: the variance sums sequentially over
+    a non-innermost axis, the MSE pairwise over the innermost one.
+    """
+    grid = report.grid
+    cells, schemes, models = _layout(grid)
+    groups = (grid.groups, grid.replications // grid.groups)
+    for ci, (n, d) in enumerate(cells):
+        draws = [rep[ci] for rep in reps]
+        ks = np.array([c.k for c in draws])
+        diff = np.stack([c.diff for c in draws], axis=1).reshape(len(schemes), *groups, d)
+        var = diff.var(axis=2, ddof=1).mean(axis=-1)
+        r_sigma = 1.0 - var / var[0]
+        tau_hat = np.stack([c.tau_hat for c in draws], axis=-1)
+        mse = ((tau_hat.reshape(len(schemes), len(models), *groups) - grid.tau) ** 2).mean(axis=-1)
+        r_mse = 1.0 - mse / mse[0]
+        seconds = np.stack([c.seconds for c in draws], axis=-1)
+        v_ak = np.stack([c.v_ak for c in draws], axis=-1)
+        exhausted = np.sum([c.exhausted for c in draws], axis=0)
+        k_modal, k_mean = int(np.bincount(ks).argmax()), float(ks.mean())
+
+        for si, scheme in enumerate(schemes):
+            report.sigma_groups[(n, d, rho, scheme)] = r_sigma[si]
+            report.timings[(n, d, rho, scheme)] = (
+                float(seconds[si].mean()), float(np.median(seconds[si])),
+            )
+            vak = None if np.all(np.isnan(v_ak[si])) else float(np.nanmean(v_ak[si]))
+            pca = scheme == "pca"
+            for mi, (surf, bc, rv) in enumerate(models):
+                report.mse_groups[(n, d, rho, surf, bc, rv, scheme)] = r_mse[si, mi]
+                report.records.append(CellRecord(
+                    n=n, d=d, rho=rho, surface=surf, beta_choice=bc, resid_var=rv,
+                    scheme=scheme,
+                    r_sigma_bar_sq=float(r_sigma[si].mean()),
+                    r_mse=float(r_mse[si, mi].mean()),
+                    k_selected=k_modal if pca else None,
+                    k_mean=k_mean if pca else None,
+                    v_ak=vak,
+                    exhausted=int(exhausted[si]),
+                ))
+
+
+def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
+    """Run the factorial study and assemble per-cell records.
+
+    Each (rho, replication) is one call of the per-replication kernel;
+    metrics are computed per replication group against the
+    complete-randomization baseline, then averaged.
+    """
+    root = RngStream(int(master_seed))
+    report = SimReport(grid=grid, master_seed=int(master_seed), records=[])
+    for rho_idx, rho in enumerate(grid.rho_levels):
+        reps = [_replication(grid, root, rho_idx, rep) for rep in range(grid.replications)]
+        _reduce(report, rho, reps)
+    return report
 
 
 def _response_layout(report: SimReport, response: str):
@@ -544,6 +522,7 @@ def write_summary_json(report: SimReport, path) -> None:
             "lambda": grid.lam,
             "tau": grid.tau,
             "max_draws": grid.max_draws,
+            "ridge_n_cal": grid.ridge_n_cal,
         },
         "records": [_record_fields(r) for r in report.records],
     }

@@ -15,7 +15,6 @@ from rerand.balance import (
     batch_distances,
     calibrate,
     mahalanobis,
-    mahalanobis_pca,
     mahalanobis_ridge,
     predict_reduction,
 )

@@ -165,6 +165,15 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--seed", "123", "--out", str(out)])
         assert json.loads((out / "summary.json").read_text())["master_seed"] == 123
 
+    def test_entropy_seed_is_printed_and_used(self, tmp_path, capsys):
+        cfg = _config(tmp_path / "study.cfg", seed="")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        printed = re.search(r"^seed: (\d+) \(drawn from system entropy", capsys.readouterr().out, re.M)
+        assert printed is not None
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["master_seed"] == int(printed.group(1))
+
     def test_timings_flag(self, tmp_path):
         cfg = _config(tmp_path / "study.cfg")
         out = tmp_path / "run"

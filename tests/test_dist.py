@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rerand import dist
 from rerand.dist import chi2_cdf, chi2_quantile, shrinkage_coeff
 
 
@@ -49,10 +50,12 @@ class TestChi2Cdf:
         vals = [chi2_cdf(5, float(x)) for x in xs]
         assert vals[0] == 0.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert chi2_cdf(5, math.inf) == 1.0
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            chi2_cdf(5, -0.1)
+        for x in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                chi2_cdf(5, x)
         with pytest.raises(ValueError):
             chi2_cdf(0, 1.0)
         with pytest.raises(ValueError):
@@ -83,10 +86,28 @@ class TestChi2Quantile:
                 q = chi2_quantile(dof, p)
                 assert chi2_cdf(dof, q) == pytest.approx(p, rel=1e-10)
 
+    def test_huge_dof_matches_scipy(self):
+        # near x = dof the series and the continued fraction need about
+        # 9 sqrt(dof / 2) terms, far beyond the few hundred at working sizes
+        from scipy import stats
+
+        for dof in (10**5, 10**6):
+            for p in (0.001, 0.05, 0.5):
+                assert chi2_quantile(dof, p) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-11)
+
     def test_errors(self):
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 chi2_quantile(3, p)
+
+
+def test_unconverged_incomplete_gamma_raises(monkeypatch):
+    # a capped loop must fail loudly, not return a truncated sum
+    monkeypatch.setattr(dist, "_MAX_ITER", 5)
+    with pytest.raises(RuntimeError, match="series"):
+        chi2_cdf(100, 100.0)  # x/2 < dof/2 + 1: series
+    with pytest.raises(RuntimeError, match="continued fraction"):
+        chi2_cdf(100, 110.0)  # x/2 >= dof/2 + 1: continued fraction
 
 
 class TestShrinkageCoeff:

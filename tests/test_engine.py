@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 import pytest

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 
@@ -8,6 +9,9 @@ import pytest
 from rerand.core import RngStream, make_allocation, standardize
 from rerand.simharness import (
     FactorGrid,
+    _CellDraw,
+    _layout,
+    _reduce,
     OutcomeModel,
     SimReport,
     anova,
@@ -252,6 +256,65 @@ class TestRunStudy:
             assert len(sig) == grid.groups
             assert r.r_sigma_bar_sq == pytest.approx(float(np.mean(sig)), rel=1e-12)
 
+    def test_groups_are_contiguous_replication_blocks(self):
+        # streams are addressed by (rho_idx, rep), so group 0 of twelve
+        # replications in three groups is the only group of the first four
+        kw = dict(
+            rho_levels=(0.5,), schemes=("rer", "ridge", "pca"),
+            surfaces=("linear", "exp"), beta_choices=("spectral",), ridge_n_cal=500,
+        )
+        three = run_study(_small_grid(replications=12, groups=3, **kw), master_seed=112)
+        one = run_study(_small_grid(replications=4, groups=1, **kw), master_seed=112)
+        for table in ("sigma_groups", "mse_groups"):
+            got, want = getattr(three, table), getattr(one, table)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key][:1].tobytes() == want[key].tobytes(), (table, key)
+
+    def test_reducer_matches_per_group_loop(self):
+        # Reference: one reduction per (scheme, group) on a contiguous
+        # (block, d) slice. The array reducer must sum in the same order,
+        # so the results are bit-equal.
+        grid = _small_grid(
+            d_levels=(1, 9), rho_levels=(0.5,), surfaces=("linear", "exp"),
+            replications=60, groups=3,
+        )
+        cells, schemes, models = _layout(grid)
+        rng = np.random.default_rng(113)
+        reps = [
+            [
+                _CellDraw(
+                    1, rng.standard_normal((len(schemes), d)),
+                    1.0 + rng.standard_normal((len(schemes), len(models))),
+                    rng.random(len(schemes)), np.full(len(schemes), np.nan),
+                    np.zeros(len(schemes), dtype=bool),
+                )
+                for _, d in cells
+            ]
+            for _ in range(grid.replications)
+        ]
+        report = SimReport(grid=grid, master_seed=0, records=[])
+        _reduce(report, 0.5, reps)
+
+        block = grid.replications // grid.groups
+        for ci, (n, d) in enumerate(cells):
+            diffs = [np.array([rep[ci].diff[si] for rep in reps]) for si in range(len(schemes))]
+            taus = np.array([rep[ci].tau_hat for rep in reps])
+            for si, scheme in enumerate(schemes):
+                r_sig, r_mse = np.empty(grid.groups), np.empty((len(models), grid.groups))
+                for g in range(grid.groups):
+                    sl = slice(g * block, (g + 1) * block)
+                    var = [diffs[s][sl].var(axis=0, ddof=1).mean() for s in (si, 0)]
+                    r_sig[g] = 1.0 - var[0] / var[1]
+                    for mi in range(len(models)):
+                        mse = [np.mean((taus[sl, s, mi] - grid.tau) ** 2) for s in (si, 0)]
+                        r_mse[mi, g] = 1.0 - mse[0] / mse[1]
+                got = report.sigma_groups[(n, d, 0.5, scheme)]
+                assert got.tobytes() == r_sig.tobytes()
+                for mi, (surf, bc, rv) in enumerate(models):
+                    got = report.mse_groups[(n, d, 0.5, surf, bc, rv, scheme)]
+                    assert got.tobytes() == r_mse[mi].tobytes()
+
     def test_ridge_scheme_runs(self):
         grid = _small_grid(
             rho_levels=(0.5,), schemes=("ridge",), replications=20,
@@ -377,6 +440,15 @@ class TestWriters:
             got = list(csv.reader(fh))
         assert got[0] == ["n", "d", "rho", "scheme", "mean_seconds", "median_seconds"]
         assert len(got) == 1 + len(report.timings)
+
+    def test_summary_json_grid_lists_every_setting(self, tmp_path):
+        grid = _small_grid(ridge_n_cal=500)
+        path = tmp_path / "summary.json"
+        write_summary_json(SimReport(grid=grid, master_seed=0, records=[]), path)
+        block = json.loads(path.read_text())["grid"]
+        fields = {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(FactorGrid)}
+        assert set(block) == fields
+        assert block["ridge_n_cal"] == 500
 
     def test_summary_json_deterministic(self, tmp_path):
         grid = _small_grid(replications=8, groups=2)
