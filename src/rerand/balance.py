@@ -47,6 +47,10 @@ SCHEMES = ("cr", "rer", "ridge", "pca")
 # the same inputs are identical across runs.
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
+# _terms converts and projects allocation rows in blocks of this many. The
+# engine caps its rejection batches at this size, so each batch is one block.
+_BLOCK_ROWS = 1024
+
 _NEAR_EQUAL_MSG = (
     "allocation is not an exact half split; distances use the "
     "finite-population scaling, outside the exact-split theory"
@@ -154,14 +158,27 @@ def mahalanobis_ridge(
 def _terms(basis: SpectralBasis, w_matrix: np.ndarray, k: int | None) -> np.ndarray:
     """Summands t_j of the leading k components (all p for k = None), one
     column per allocation row of w_matrix; the slice keeps the top-k cost
-    per draw at O(nk)."""
-    wt = np.asarray(w_matrix, dtype=float).T
-    n = wt.shape[0]
+    per draw at O(nk).
+
+    Rows are converted to float and projected `_BLOCK_ROWS` at a time into
+    one preallocated output, so a 10000-row calibration never holds more
+    than one block in float64. A row's terms depend only on the block it
+    falls in.
+    """
+    w = np.asarray(w_matrix)
+    m, n = w.shape
     if n != basis.n:
         raise ValueError("allocation length disagrees with basis rows")
-    n_t = int(round(wt[:, 0].sum()))
+    n_t = int(round(float(w[0].sum())))
     r = 1.0 / n_t + 1.0 / (n - n_t)
-    return r * (n - 1) * (basis.u[:, :k].T @ wt) ** 2
+    ut = basis.u[:, :k].T
+    out = np.empty((ut.shape[0], m))
+    for lo in range(0, m, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        np.matmul(ut, w[block].astype(float).T, out=out[:, block])
+    np.square(out, out=out)
+    out *= r * (n - 1)
+    return out
 
 
 def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:

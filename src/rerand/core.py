@@ -259,25 +259,57 @@ def sigma_factor(n_treated: int, n_control: int) -> float:
 
 
 def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a covariate CSV: header row of names, numeric cells, no gaps."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
+    """Read a covariate CSV: header row of names, numeric cells, no gaps.
+
+    Cells are plain decimal or scientific numbers, optionally quoted and
+    padded with whitespace. Blank lines, comments and `_` digit separators
+    are rejected. The data lines are parsed by numpy's C reader, which
+    rounds correctly, so every cell gives the same double as float().
+    Errors name the path and the 1-based file row.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    names = next(csv.reader(lines[:1]), [])
+    body = lines[1:]
+    if not body:
         raise ValueError(f"{path}: need a header row and at least one unit")
-    names = rows[0]
-    width = len(names)
-    data = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+    a = None
+    if "" not in body:  # loadtxt would skip blank lines, not reject them
         try:
-            data.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell in row {i}: {exc}") from None
-    a = np.asarray(data, dtype=float)
+            a = np.loadtxt(
+                body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
+            )
+        except ValueError:
+            pass
+    # loadtxt checks the widths of data rows only against each other.
+    if a is None or a.shape != (len(body), len(names)):
+        raise ValueError(f"{path}: {_first_bad_row(body, len(names))}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite value")
     return names, a
+
+
+def _first_bad_row(body: list[str], width: int) -> str:
+    """Word the error for data lines that the C parse rejected.
+
+    Only error reporting runs this per-cell loop. Cells that float() takes
+    but the C parser does not (`_` separators, non-ASCII digits) count as
+    non-numeric here too.
+    """
+    for i, line in enumerate(body, start=2):
+        row = next(csv.reader([line]), [])
+        if len(row) != width:
+            return f"row {i} has {len(row)} cells, expected {width}"
+        for cell in row:
+            try:
+                float(cell)
+            except ValueError as exc:
+                return f"non-numeric cell in row {i}: {exc}"
+            if "_" in cell or not cell.strip().isascii():
+                return f"non-numeric cell in row {i}: {cell!r}"
+    raise AssertionError("the C parse failed on rows that all parse")
 
 
 def write_allocation_csv(path, w: Allocation) -> None:

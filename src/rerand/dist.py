@@ -131,7 +131,10 @@ def chi2_quantile(dof, p: float) -> float:
 
     Wilson-Hilferty cube-root start, then Newton steps safeguarded by a
     maintained bracket (bisection fallback), so convergence is robust for
-    small p and small dof alike.
+    small p and small dof alike. The stop rule |F(x) - p| <= 1e-13 p
+    orders the returned quantiles only for p values more than about 1e-11
+    apart (relative); closer p can come back out of order by ~1e-14
+    relative.
     """
     k = _check_dof(dof)
     if not 0.0 < p < 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceCriterion, batch_distances
+from .balance import _BLOCK_ROWS, BalanceCriterion, batch_distances
 from .core import (
     Allocation,
     CovariateMatrix,
@@ -24,9 +24,10 @@ from .core import (
 from .spectral import SpectralBasis, decompose
 
 # Rejection batches start small (most criteria accept within a few dozen
-# draws at the default p_a) and grow geometrically toward hard cases.
+# draws at the default p_a) and grow geometrically toward hard cases. The
+# cap is balance's projection block, so each batch is projected in one step.
 _BATCH_START = 16
-_BATCH_CAP = 1024
+_BATCH_CAP = _BLOCK_ROWS
 
 DEFAULT_MAX_DRAWS = 10**6
 

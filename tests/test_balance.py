@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rerand.balance import (
     BalanceCriterion,
+    _terms,
     batch_distances,
     calibrate,
     choose_lambda,
@@ -203,6 +206,44 @@ class TestBatchDistances:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2 * 1024 + 3])
+    @settings(max_examples=5)
+    @given(half=st.integers(8, 30), d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_equal_single_allocation_distances(self, count, half, d, seed):
+        # row counts on both sides of every 1024-row projection block edge
+        n = 2 * half
+        x, basis = _setup(n, d, seed)
+        k = max(2, basis.p // 2)
+        lam = default_lambda(basis)
+        rows = half_split_matrix(n, count, RngStream(seed).generator())
+        allocs = [make_allocation(row) for row in rows]
+        for scheme, single in (
+            ("rer", lambda w: mahalanobis(x, basis, w)),
+            ("pca", lambda w: mahalanobis_pca(basis, k, w)),
+            ("ridge", lambda w: mahalanobis_ridge(x, basis, lam, w)),
+        ):
+            crit = BalanceCriterion(
+                scheme, 0.05, sigma_factor(half, half), threshold=np.inf,
+                k=k if scheme == "pca" else None, lam=lam if scheme == "ridge" else None,
+            )
+            np.testing.assert_allclose(
+                batch_distances(crit, basis, rows), [single(w) for w in allocs],
+                rtol=1e-12, atol=0,
+            )
+
+    @pytest.mark.parametrize("count", [1025, 2 * 1024 + 3])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_terms_equal_concatenated_block_terms(self, k, count):
+        # A row's terms depend only on its 1024-row block. A one-shot product
+        # of all rows need not round like a small trailing block does, since
+        # BLAS picks its kernel by shape.
+        x, basis = _setup(1000, 60, 70)
+        rows = half_split_matrix(1000, count, RngStream(71).generator())
+        blocks = [_terms(basis, rows[lo : lo + 1024], k) for lo in range(0, len(rows), 1024)]
+        whole = _terms(basis, rows, k)
+        assert whole.shape == (basis.p if k is None else k, len(rows))
+        assert whole.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
     def test_cr_has_no_distance(self):
         x, basis = _setup(10, 3, 38)
         crit = calibrate("cr", 0.05, basis)
@@ -265,6 +306,9 @@ class TestCriterionIdentities:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_threshold_nondecreasing_in_pa(self, scheme, levels, seed):
+        # Levels are 0.001 apart. chi2_quantile stops once |F(x) - p| <= 1e-13 p,
+        # which orders its thresholds only for p more than about 1e-11 apart
+        # (relative); closer p can come back out of order by ~1e-14 relative.
         x, basis = _setup(30, 6, seed)
         thresholds = [
             calibrate(scheme, level / 1000, basis, k=3, n_cal=500).threshold
@@ -338,6 +382,19 @@ class TestCalibrate:
             calibrate("pca", 0.05, basis, k=99)
         with pytest.raises(ValueError):
             calibrate("ridge", 0.05, basis, lam=-0.5, n_cal=100)
+
+    def test_ridge_calibration_memory_budget(self):
+        # Calibration rows are converted and projected in 1024-row blocks, so
+        # the 10000 x 1000 int8 draw matrix is never copied to float64 whole
+        # (80 MB); the draws and the 180 x 10000 terms take about 25 MB.
+        x, basis = _setup(1000, 180, 72)
+        tracemalloc.start()
+        try:
+            calibrate("ridge", 0.05, basis, n_cal=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestLambdaSelection:

@@ -1,10 +1,12 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from rerand.core import (
@@ -243,6 +245,118 @@ class TestCsv:
         empty.write_text("a\n")
         with pytest.raises(ValueError):
             read_covariate_csv(empty)
+
+    @staticmethod
+    def _read(tmp_path, text):
+        path = tmp_path / "cov.csv"
+        path.write_bytes(text.encode())
+        return read_covariate_csv(path)
+
+    @staticmethod
+    def _rejects(tmp_path, text, *fragments):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")  # no stray numpy warning first
+            read_covariate_csv(path)
+        msg = str(info.value)
+        assert msg.startswith(f"{path}: ")
+        for fragment in fragments:
+            assert fragment in msg
+
+    def test_quoted_cells(self, tmp_path):
+        names, values = self._read(tmp_path, 'a,"b"\n"1.5","2"\n3,"-4e2"\n')
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.5, 2.0], [3.0, -400.0]])
+
+    def test_line_endings(self, tmp_path):
+        for text in ("a,b\r\n1,2\r\n3,4\r\n", "a,b\n1,2\n3,4", "a,b\r\n1,2\r\n3,4"):
+            names, values = self._read(tmp_path, text)
+            assert names == ["a", "b"]
+            np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_whitespace_around_cells(self, tmp_path):
+        names, values = self._read(tmp_path, "a,b\n 1 , 2\n\t3,4 \n")
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_single_row_and_single_column(self, tmp_path):
+        assert self._read(tmp_path, "a,b,c\n1,2,3\n")[1].shape == (1, 3)
+        assert self._read(tmp_path, "a\n1\n2\n3\n")[1].shape == (3, 1)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        self._rejects(tmp_path, "a,b\n1,#2\n", "non-numeric", "row 2")
+        self._rejects(tmp_path, "a,b\n1,2\n# note\n", "row 3")
+
+    def test_blank_lines_rejected(self, tmp_path):
+        self._rejects(tmp_path, "a\n1\n\n2\n", "row 3")
+        self._rejects(tmp_path, "a\n1\n2\n\n", "row 4")
+        self._rejects(tmp_path, "a,b\n1,2\n\n", "row 3")
+        self._rejects(tmp_path, "a\n\n", "row 2")
+
+    def test_ragged_and_non_numeric_rows_named(self, tmp_path):
+        self._rejects(tmp_path, "a,b\n1,2\n3\n", "row 3", "1 cells, expected 2")
+        self._rejects(tmp_path, "a,b\n1,2\n3,4,5\n", "row 3", "3 cells, expected 2")
+        self._rejects(tmp_path, "a,b\n1,2\n3,4\n5,x\n", "non-numeric", "row 4")
+
+    def test_header_width_must_match_data(self, tmp_path):
+        self._rejects(tmp_path, "a,b,c\n1,2\n3,4\n", "row 2", "2 cells, expected 3")
+        self._rejects(tmp_path, "a\n1,2\n3,4\n", "row 2", "2 cells, expected 1")
+
+    def test_header_only_or_empty(self, tmp_path):
+        self._rejects(tmp_path, "a,b\n", "header row")
+        self._rejects(tmp_path, "a,b", "header row")
+        self._rejects(tmp_path, "", "header row")
+
+    def test_non_finite_rejected(self, tmp_path):
+        for cell in ("nan", "inf", "-inf", "1e400"):
+            self._rejects(tmp_path, f"a,b\n1,2\n3,{cell}\n", "non-finite value")
+
+    def test_digit_separators_rejected(self, tmp_path):
+        # float() takes "1_000"; the reader does not (see README, allocate)
+        self._rejects(tmp_path, "a,b\n1,2\n1_000,3\n", "non-numeric", "row 3")
+        self._rejects(tmp_path, "a\n1\n\u0661\n", "non-numeric", "row 3")
+
+    @staticmethod
+    def _write_cells(path, cells):
+        lines = ["x" + ",x".join(map(str, range(len(cells[0]))))]
+        lines += [",".join(row) for row in cells]
+        path.write_text("\n".join(lines) + "\n")
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(values=np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308]]))
+    @example(values=np.array([[1.7976931348623157e308], [-1e300], [1e-300]]))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "cov.csv"
+        self._write_cells(path, [[repr(float(v)) for v in row] for row in values])
+        names, got = read_covariate_csv(path)
+        assert len(names) == values.shape[1]
+        assert got.shape == values.shape
+        assert got.tobytes() == values.tobytes()
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        digits=st.integers(0, 25),
+    )
+    def test_parse_equals_float_per_cell(self, tmp_path_factory, values, digits):
+        # Cells written with too few or too many digits must still round
+        # exactly as float() rounds the same text.
+        cells = [[f"{v:.{digits}e}" for v in row] for row in values]
+        path = tmp_path_factory.mktemp("csv") / "cov.csv"
+        self._write_cells(path, cells)
+        expected = np.array([[float(c) for c in row] for row in cells])
+        assume(np.all(np.isfinite(expected)))  # rounding up can overflow
+        assert read_covariate_csv(path)[1].tobytes() == expected.tobytes()
 
     def test_allocation_output(self, tmp_path):
         path = tmp_path / "alloc.csv"
