@@ -21,7 +21,10 @@ from one kernel of summands.
 The ridge threshold has no closed form (the criterion follows a mixture
 law), so it is calibrated as an empirical quantile over seeded Monte
 Carlo randomizations; ridge shrinkage diagnostics are likewise Monte
-Carlo estimates, not closed forms.
+Carlo estimates, not closed forms. These draws are the first n_cal rows
+of a fixed stream, which core.half_split_matrix memoizes, so every ridge
+calibration, shrinkage estimate and penalty search at the same (n, n_cal)
+reuses one seeded draw per process.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .spectral import SpectralBasis
 SCHEMES = ("cr", "rer", "ridge", "pca")
 
 # Fixed stream for ridge threshold calibration so that criteria built from
-# the same inputs are identical across runs.
+# the same inputs are identical across runs (and share one memoized draw).
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
 # _terms converts and projects allocation rows in blocks of this many. The
@@ -216,13 +219,6 @@ def default_lambda(basis: SpectralBasis) -> float:
     return sigma_factor(n - n // 2, n // 2) * float(basis.singular_values[-1] ** 2)
 
 
-def _calibration_draws(
-    basis: SpectralBasis, n_cal: int, rng: RngStream | None
-) -> np.ndarray:
-    stream = rng if rng is not None else _CALIBRATION_STREAM
-    return half_split_matrix(basis.n, n_cal, stream.generator())
-
-
 def choose_lambda(
     basis: SpectralBasis,
     p_a: float,
@@ -245,7 +241,7 @@ def choose_lambda(
         return base
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
-    terms = _terms(basis, _calibration_draws(basis, n_cal, rng), None)
+    terms = _terms(basis, half_split_matrix(basis.n, n_cal, rng or _CALIBRATION_STREAM), None)
     c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
     btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
     sig2 = basis.singular_values**2
@@ -300,7 +296,9 @@ def calibrate(
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
         probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam))
-        dists = batch_distances(probe, basis, _calibration_draws(basis, n_cal, rng))
+        dists = batch_distances(
+            probe, basis, half_split_matrix(n, n_cal, rng or _CALIBRATION_STREAM)
+        )
         return replace(probe, threshold=float(np.quantile(dists, p_a)))
 
     if scheme == "rer":
@@ -334,7 +332,7 @@ def _ridge_component_shrinkage(
     criterion: BalanceCriterion, basis: SpectralBasis, n_cal: int = 10000
 ) -> np.ndarray:
     # Monte Carlo per-component variance ratio on the calibration stream.
-    terms = _terms(basis, _calibration_draws(basis, n_cal, None), None)
+    terms = _terms(basis, half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM), None)
     dists = _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
     acc = dists <= criterion.threshold
     if not acc.any():

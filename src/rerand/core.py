@@ -8,6 +8,7 @@ concurrent use across independent streams is safe.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,13 +154,13 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or a numpy Generator")
 
 
-def half_split_matrix(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+def half_split_matrix(n: int, count: int, rng) -> np.ndarray:
     """count x n int8 matrix of independent equal-split 0/1 rows.
 
     Odd n puts the extra unit in treatment (ceil(n/2) ones per row).
 
     Each row marks the ceil(n/2) smallest of n random 64-bit keys taken
-    from `gen.bit_generator.random_raw`. The low bit_length(n-1) bits of
+    from `bit_generator.random_raw`. The low bit_length(n-1) bits of
     every key are replaced by its column index, so keys never tie and
     every row is an exact split by construction. The subset is uniform
     over all ceil(n/2)-subsets except when two keys agree in all of
@@ -171,7 +172,27 @@ def half_split_matrix(n: int, count: int, gen: np.random.Generator) -> np.ndarra
     generator state the rows do not depend on how `count` is split across
     calls: one call of a + b rows equals a call of a rows followed by a
     call of b rows.
+
+    `rng` is a numpy Generator, advanced by the draw, or an RngStream,
+    meaning the first `count` rows of that stream. The stream form is
+    memoized: the last 8 distinct (n, count, stream) calls are kept
+    bit-packed, count * ceil(n/8) bytes each (1.25 MB for 10000 rows at
+    n = 1000), so at most 8 times that. Every call returns a fresh array.
     """
+    if isinstance(rng, RngStream):
+        return np.unpackbits(_stream_rows(n, count, rng), axis=1, count=n).view(np.int8)
+    return _split_rows(n, count, rng)
+
+
+@functools.lru_cache(maxsize=8)  # the factorial grid calibrates ridge at 4 n
+def _stream_rows(n: int, count: int, stream: RngStream) -> np.ndarray:
+    # Read-only: every caller of the same (n, count, stream) shares it.
+    packed = np.packbits(_split_rows(n, count, stream.generator()), axis=1)
+    packed.flags.writeable = False
+    return packed
+
+
+def _split_rows(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     k = (n + 1) // 2
     out = np.empty((count, n), dtype=np.int8)
     flags = out.view(np.bool_)
@@ -262,7 +283,8 @@ def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a covariate CSV: header row of names, numeric cells, no gaps.
 
     Cells are plain decimal or scientific numbers, optionally quoted and
-    padded with whitespace. Blank lines, comments and `_` digit separators
+    padded with whitespace; at least two data rows (units) are needed, as
+    for standardize. Blank lines, comments and `_` digit separators
     are rejected. The data lines are parsed by numpy's C reader, which
     rounds correctly, so every cell gives the same double as float().
     Errors name the path and the 1-based file row.
@@ -273,10 +295,8 @@ def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
         lines.pop()
     names = next(csv.reader(lines[:1]), [])
     body = lines[1:]
-    if not body:
-        raise ValueError(f"{path}: need a header row and at least one unit")
     a = None
-    if "" not in body:  # loadtxt would skip blank lines, not reject them
+    if body and "" not in body:  # loadtxt would skip blank lines, not reject them
         try:
             a = np.loadtxt(
                 body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
@@ -284,8 +304,10 @@ def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
         except ValueError:
             pass
     # loadtxt checks the widths of data rows only against each other.
-    if a is None or a.shape != (len(body), len(names)):
+    if body and (a is None or a.shape != (len(body), len(names))):
         raise ValueError(f"{path}: {_first_bad_row(body, len(names))}")
+    if len(body) < 2:  # a bad row is the more useful error, so it comes first
+        raise ValueError(f"{path}: need a header row and at least two units")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite value")
     return names, a

@@ -140,6 +140,7 @@ class CellRecord:
     k_mean: float | None = None
     v_ak: float | None = None
     exhausted: int = 0
+    mean_draws: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,7 @@ class _CellDraw(NamedTuple):
     seconds: np.ndarray  # (schemes,) calibration plus rejection time
     v_ak: np.ndarray  # (schemes,) shrinkage coefficient, NaN if none
     exhausted: np.ndarray  # (schemes,) rejection ran out of draws
+    draws: np.ndarray  # (schemes,) draws attempted, 1 for cr
 
 
 def _layout(grid: FactorGrid):
@@ -286,7 +288,7 @@ def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> l
         cell = _CellDraw(
             k, np.empty((len(schemes), d)), np.empty((len(schemes), len(models))),
             np.empty(len(schemes)), np.full(len(schemes), np.nan),
-            np.zeros(len(schemes), dtype=bool),
+            np.zeros(len(schemes), dtype=bool), np.empty(len(schemes)),
         )
         for si, scheme in enumerate(schemes):
             # Per-allocation cost includes threshold calibration: each
@@ -300,6 +302,7 @@ def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> l
             cell.seconds[si] = time.perf_counter() - t0
             w = res.allocation
             cell.exhausted[si] = scheme != "cr" and not res.accepted
+            cell.draws[si] = res.draws_attempted
             cell.diff[si] = group_means(x, w).diff
             if crit.dof is not None and not crit.degenerate:
                 cell.v_ak[si] = shrinkage_coeff(crit.dof, crit.threshold)
@@ -334,6 +337,7 @@ def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
         seconds = np.stack([c.seconds for c in draws], axis=-1)
         v_ak = np.stack([c.v_ak for c in draws], axis=-1)
         exhausted = np.sum([c.exhausted for c in draws], axis=0)
+        mean_draws = np.mean([c.draws for c in draws], axis=0)
         k_modal, k_mean = int(np.bincount(ks).argmax()), float(ks.mean())
 
         for si, scheme in enumerate(schemes):
@@ -354,6 +358,7 @@ def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
                     k_mean=k_mean if pca else None,
                     v_ak=vak,
                     exhausted=int(exhausted[si]),
+                    mean_draws=float(mean_draws[si]),
                 ))
 
 
@@ -463,7 +468,7 @@ _RECORD_FIELDS = (
     ("beta", "beta_choice"), ("resid_var", "resid_var"), ("scheme", "scheme"),
     ("r_sigma_bar_sq", "r_sigma_bar_sq"), ("r_mse", "r_mse"),
     ("k_selected", "k_selected"), ("k_mean", "k_mean"), ("v_ak", "v_ak"),
-    ("exhausted", "exhausted"),
+    ("exhausted", "exhausted"), ("mean_draws", "mean_draws"),
 )
 
 

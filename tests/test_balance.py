@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rerand.balance import (
+    _CALIBRATION_STREAM,
     BalanceCriterion,
     _terms,
     batch_distances,
@@ -20,6 +21,7 @@ from rerand.balance import (
 from rerand.core import (
     CovariateMatrix,
     RngStream,
+    _stream_rows,
     group_means,
     half_split_matrix,
     make_allocation,
@@ -395,6 +397,47 @@ class TestCalibrate:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_ridge_draw_is_reused(self):
+        # calibrations, the shrinkage estimate and the penalty search on one
+        # basis share the memoized 10000-row draw of the calibration stream
+        x, basis = _setup(60, 6, 76)
+        _stream_rows.cache_clear()
+        a = calibrate("ridge", 0.05, basis, lam=0.1)
+        b = calibrate("ridge", 0.05, basis, lam=0.1)
+        assert a.threshold == b.threshold
+        assert _stream_rows.cache_info()[:2] == (1, 1)  # hits, misses
+        predict_reduction(a, basis)
+        choose_lambda(basis, 0.05, beta=np.ones(6))
+        assert _stream_rows.cache_info()[:2] == (3, 1)
+
+    def test_ridge_stream_matches_generator_path(self):
+        x, basis = _setup(60, 6, 77)
+        for stream in (RngStream(78), _CALIBRATION_STREAM):
+            crit = calibrate("ridge", 0.05, basis, lam=0.1, n_cal=3000, rng=stream)
+            rows = half_split_matrix(60, 3000, stream.generator())
+            dists = batch_distances(crit, basis, rows)
+            assert crit.threshold == float(np.quantile(dists, 0.05))
+
+    def test_ridge_draw_cache_memory(self):
+        # one packed 10000-row entry per n: 10000 * ceil(n/8) bytes, 2.26 MB
+        # for the four factorial n levels
+        levels = (100, 200, 500, 1000)
+        bases = [_setup(n, 10, 79)[1] for n in levels]
+        calibrate("ridge", 0.05, bases[0], n_cal=100)  # lazy imports out of the count
+        _stream_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            for basis in bases:
+                calibrate("ridge", 0.05, basis)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _stream_rows.cache_info().currsize == len(levels)
+        packed = [_stream_rows(n, 10000, _CALIBRATION_STREAM).nbytes for n in levels]
+        assert _stream_rows.cache_info().misses == len(levels)
+        assert sum(packed) == 10000 * sum(-(-n // 8) for n in levels) <= 2.5e6
+        assert retained <= 2.5e6 and peak < 50e6
 
 
 class TestLambdaSelection:

@@ -117,6 +117,13 @@ class TestAllocate:
                      "--out", out, "--seed", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_one_unit_csv_names_the_file(self, tmp_path, capsys):
+        cov = _cov_csv(tmp_path / "one.csv", n=1)
+        assert main(["allocate", "--input", cov, "--out", str(tmp_path / "run"),
+                     "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cov}: need a header row and at least two units" in err
+
     def test_schema_flag(self, tmp_path, capsys):
         assert main(["allocate", "--schema"]) == 0
         assert "allocation.csv" in capsys.readouterr().out
@@ -148,6 +155,12 @@ class TestSimulate:
         assert summary["master_seed"] == 99
         metrics = _read(out / "metrics.csv")
         assert len(metrics) == 3  # header + cr + pca
+        assert all(set(r) == set(metrics[0]) for r in summary["records"])
+        cr = next(r for r in summary["records"] if r["scheme"] == "cr")
+        assert cr["mean_draws"] == 1.0
+        assert main(["simulate", "--schema"]) == 0
+        schema = capsys.readouterr().out.split("summary.json", 1)[0]
+        assert set(metrics[0]) <= set(re.findall(r"\w+", schema))
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _config(tmp_path / "study.cfg")

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from rerand.core import (
+    _KEY_BLOCK,
     Allocation,
     CovariateMatrix,
     Outcome,
@@ -21,6 +22,7 @@ from rerand.core import (
     sate_estimator,
     sigma_factor,
     standardize,
+    _stream_rows,
     write_allocation_csv,
 )
 
@@ -202,6 +204,36 @@ class TestHalfSplitMatrix:
         parts = [half_split_matrix(1000, c, gen) for c in counts]
         np.testing.assert_array_equal(whole, np.vstack(parts))
 
+    @given(
+        n=st.integers(2, 400),
+        count=st.integers(0, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one key block holds 9362 rows at n = 7, 163 at n = 400, 65 at n = 1000
+    @example(n=7, count=_KEY_BLOCK // 7 + 1, seed=1)
+    @example(n=400, count=2 * (_KEY_BLOCK // 400) + 3, seed=2)
+    @example(n=1000, count=131, seed=3)
+    def test_stream_form_equals_generator_form(self, n, count, seed):
+        stream = RngStream(seed, n)
+        expected = half_split_matrix(n, count, stream.generator())
+        for _ in range(2):  # a miss, then a hit
+            got = half_split_matrix(n, count, stream)
+            assert got.dtype == np.int8 and got.shape == (count, n) and got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+
+    def test_stream_form_returns_fresh_arrays(self):
+        stream = RngStream(74)
+        first = half_split_matrix(33, 50, stream)
+        expected = first.copy()
+        first[:] = 7
+        np.testing.assert_array_equal(half_split_matrix(33, 50, stream), expected)
+
+    def test_stream_cache_entry_is_read_only(self):
+        packed = _stream_rows(33, 50, RngStream(75))
+        assert packed.shape == (50, 5) and not packed.flags.writeable
+        with pytest.raises(ValueError):
+            packed[0, 0] = 0
+
     @pytest.mark.parametrize("n, seed", [(6, 72), (7, 73)])
     def test_uniform_over_all_splits(self, n, seed):
         # 20 equal splits of 6 units, 35 near-equal splits of 7 units
@@ -281,7 +313,8 @@ class TestCsv:
         np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_single_row_and_single_column(self, tmp_path):
-        assert self._read(tmp_path, "a,b,c\n1,2,3\n")[1].shape == (1, 3)
+        self._rejects(tmp_path, "a,b,c\n1,2,3\n", "header row and at least two units")
+        assert self._read(tmp_path, "a,b,c\n1,2,3\n4,5,6\n")[1].shape == (2, 3)
         assert self._read(tmp_path, "a\n1\n2\n3\n")[1].shape == (3, 1)
 
     def test_hash_is_not_a_comment(self, tmp_path):
@@ -307,6 +340,8 @@ class TestCsv:
         self._rejects(tmp_path, "a,b\n", "header row")
         self._rejects(tmp_path, "a,b", "header row")
         self._rejects(tmp_path, "", "header row")
+        # a bad single row is named before the missing second unit
+        self._rejects(tmp_path, "a,b\n1,x\n", "non-numeric", "row 2")
 
     def test_non_finite_rejected(self, tmp_path):
         for cell in ("nan", "inf", "-inf", "1e400"):
@@ -326,11 +361,11 @@ class TestCsv:
     @given(
         values=hnp.arrays(
             np.float64,
-            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+            st.tuples(st.integers(2, 8), st.integers(1, 8)),  # two units or more
             elements=st.floats(allow_nan=False, allow_infinity=False),
         )
     )
-    @example(values=np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308]]))
+    @example(values=np.array([[0.0, -0.0], [5e-324, -2.2250738585072014e-308]]))
     @example(values=np.array([[1.7976931348623157e308], [-1e300], [1e-300]]))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("csv") / "cov.csv"
@@ -343,7 +378,7 @@ class TestCsv:
     @given(
         values=hnp.arrays(
             np.float64,
-            hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+            st.tuples(st.integers(2, 6), st.integers(1, 6)),
             elements=st.floats(allow_nan=False, allow_infinity=False),
         ),
         digits=st.integers(0, 25),

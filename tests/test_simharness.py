@@ -221,6 +221,8 @@ class TestRunStudy:
             else:
                 assert r.k_selected is None and r.k_mean is None
             assert r.exhausted == 0
+            # about 1/p_a = 20 draws per accepted allocation; cr draws once
+            assert r.mean_draws == 1.0 if r.scheme == "cr" else 5 < r.mean_draws < 80
 
     def test_cr_baseline_is_exactly_zero(self):
         report = run_study(_small_grid(), master_seed=101)
@@ -288,6 +290,7 @@ class TestRunStudy:
                     1.0 + rng.standard_normal((len(schemes), len(models))),
                     rng.random(len(schemes)), np.full(len(schemes), np.nan),
                     np.zeros(len(schemes), dtype=bool),
+                    rng.integers(1, 500, len(schemes)).astype(float),
                 )
                 for _, d in cells
             ]
@@ -311,6 +314,10 @@ class TestRunStudy:
                         r_mse[mi, g] = 1.0 - mse[0] / mse[1]
                 got = report.sigma_groups[(n, d, 0.5, scheme)]
                 assert got.tobytes() == r_sig.tobytes()
+                draws = sum(rep[ci].draws[si] for rep in reps) / len(reps)
+                for r in report.records:
+                    if (r.n, r.d, r.scheme) == (n, d, scheme):
+                        assert r.mean_draws == draws  # integer sums are exact
                 for mi, (surf, bc, rv) in enumerate(models):
                     got = report.mse_groups[(n, d, 0.5, surf, bc, rv, scheme)]
                     assert got.tobytes() == r_mse[mi].tobytes()
