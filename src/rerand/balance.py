@@ -24,7 +24,9 @@ Carlo randomizations; ridge shrinkage diagnostics are likewise Monte
 Carlo estimates, not closed forms. These draws are the first n_cal rows
 of a fixed stream, which core.half_split_matrix memoizes, so every ridge
 calibration, shrinkage estimate and penalty search at the same (n, n_cal)
-reuses one seeded draw per process.
+reuses one seeded draw per process. A ridge criterion records its n_cal
+and calibration stream, and its shrinkage estimate replays exactly the
+rows its threshold was set on.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ SCHEMES = ("cr", "rer", "ridge", "pca")
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
 # _terms converts and projects allocation rows in blocks of this many. The
-# engine caps its rejection batches at this size, so each batch is one block.
+# engine's rejection batches are smaller, so each batch is one block.
 _BLOCK_ROWS = 1024
 
 _NEAR_EQUAL_MSG = (
@@ -69,7 +71,9 @@ class BalanceCriterion:
     means all p, which is "rer"). dof records the chi-square degrees of
     freedom used to set the threshold ("rer"/"pca" only). degenerate flags
     the rank = n-1 case in which M is the constant n-1 and the rule cannot
-    discriminate.
+    discriminate. n_cal and cal_stream record the Monte Carlo sample a
+    "ridge" threshold was set on (cal_stream is None when that sample came
+    from a numpy Generator, which cannot be replayed).
     """
 
     scheme: str
@@ -81,6 +85,8 @@ class BalanceCriterion:
     dof: int | None = None
     degenerate: bool = False
     note: str = ""
+    n_cal: int | None = None
+    cal_stream: RngStream | None = None
 
 
 @dataclass(frozen=True)
@@ -268,15 +274,16 @@ def calibrate(
     k: int | None = None,
     lam: float | None = None,
     n_cal: int = 10000,
-    rng: RngStream | None = None,
+    rng: RngStream | np.random.Generator | None = None,
 ) -> BalanceCriterion:
     """Build an acceptance rule with threshold set to hit p_a.
 
     "rer" and "pca" thresholds are chi-square quantiles (dof = effective
     rank, resp. k); "rer" is "pca" over all p components, so k is ignored
     for it. "ridge" is calibrated as the empirical p_a quantile of the
-    criterion over n_cal seeded complete randomizations. "cr" has no
-    threshold. Arguments a scheme does not use are ignored. When the
+    criterion over n_cal seeded complete randomizations (the first n_cal
+    rows of rng, by default a fixed stream). "cr" has no threshold.
+    Arguments a scheme does not use are ignored. When the
     criterion sums all p = n-1 components it is the constant n-1; the rule
     is flagged degenerate and the engine decides it on a single draw.
     """
@@ -295,10 +302,12 @@ def calibrate(
             lam = default_lambda(basis)
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam))
-        dists = batch_distances(
-            probe, basis, half_split_matrix(n, n_cal, rng or _CALIBRATION_STREAM)
+        rng = rng or _CALIBRATION_STREAM
+        probe = BalanceCriterion(
+            "ridge", p_a, c_n, threshold=np.inf, lam=float(lam), n_cal=n_cal,
+            cal_stream=rng if isinstance(rng, RngStream) else None,
         )
+        dists = batch_distances(probe, basis, half_split_matrix(n, n_cal, rng))
         return replace(probe, threshold=float(np.quantile(dists, p_a)))
 
     if scheme == "rer":
@@ -328,11 +337,16 @@ def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
     return replace(crit, degenerate=True, note=note)
 
 
-def _ridge_component_shrinkage(
-    criterion: BalanceCriterion, basis: SpectralBasis, n_cal: int = 10000
-) -> np.ndarray:
-    # Monte Carlo per-component variance ratio on the calibration stream.
-    terms = _terms(basis, half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM), None)
+def _ridge_component_shrinkage(criterion: BalanceCriterion, basis: SpectralBasis) -> np.ndarray:
+    # Monte Carlo per-component variance ratio on the calibration sample.
+    if criterion.cal_stream is None:
+        raise ValueError(
+            "ridge shrinkage replays the calibration sample, but this criterion "
+            "records no RngStream for it (a numpy Generator cannot be replayed); "
+            "calibrate with rng=None or an RngStream"
+        )
+    rows = half_split_matrix(basis.n, criterion.n_cal, criterion.cal_stream)
+    terms = _terms(basis, rows, None)
     dists = _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
     acc = dists <= criterion.threshold
     if not acc.any():
@@ -347,9 +361,11 @@ def predict_reduction(
 
     For "pca" the component shrinkage is v_{a_k} on the first k components
     and 1 elsewhere; for "rer" it is v_a everywhere; for "ridge" it is a
-    Monte Carlo estimate (see module docstring); for "cr" all ones. The
-    per-covariate percent reduction and the tau_hat variance reduction
-    follow by rotating the shrunk spectrum back through V.
+    Monte Carlo estimate on the rows the threshold was calibrated on (see
+    module docstring; ValueError if they came from a numpy Generator); for
+    "cr" all ones. The per-covariate percent reduction and the tau_hat
+    variance reduction follow by rotating the shrunk spectrum back
+    through V.
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")

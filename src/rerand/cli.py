@@ -59,7 +59,7 @@ _SIMULATE_SCHEMA = """\
 simulate writes into --out:
   metrics.csv        n, d, rho, surface, beta, resid_var, scheme,
                      r_sigma_bar_sq, r_mse, k_selected, k_mean, v_ak,
-                     exhausted, mean_draws            (deterministic)
+                     exhausted, mean_draws, accept_rate (deterministic)
   summary.json       master_seed, every grid setting (ridge_n_cal
                      included), the records above     (deterministic)
   anova_r_sigma.csv  term, df, sum_sq, mean_sq, f_ratio (deterministic;

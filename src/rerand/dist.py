@@ -7,14 +7,21 @@ the dof and x ranges the rest of the package needs (dof up to a few
 hundred, x up to a few thousand). Both need about 9 sqrt(a) terms near
 x = a, so the term cap covers shape a up to about 1e8; a loop that
 reaches it raises instead of returning an unconverged value.
+
+`chi2_quantile` and `shrinkage_coeff` are pure and are called again and
+again on the same few (dof, p) and (dof, threshold) pairs (every
+replication of a study recalibrates the same cells), so both memoize
+their last `_MEMO_SIZE` distinct arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 _EPS = 1e-16
 _MAX_ITER = 100_000
+_MEMO_SIZE = 256
 
 
 def _lower_reg_gamma_series(a: float, x: float) -> float:
@@ -126,6 +133,7 @@ def _norm_quantile(p: float) -> float:
             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def chi2_quantile(dof, p: float) -> float:
     """Inverse chi-square CDF: the x with chi2_cdf(dof, x) = p.
 
@@ -171,9 +179,10 @@ def chi2_quantile(dof, p: float) -> float:
         x = nxt
         if hi - lo < 1e-15 * max(1.0, hi):
             break
-    return x
+    return float(x)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def shrinkage_coeff(dof, a: float) -> float:
     """Variance shrinkage coefficient P(chi^2_{dof+2} <= a) / P(chi^2_dof <= a).
 
@@ -186,5 +195,5 @@ def shrinkage_coeff(dof, a: float) -> float:
     denom = chi2_cdf(k, a)
     if denom == 0.0:
         # Far left tail: use the series ratio limit (a/2)/(k/2 + 1) e^0.
-        return a / (k + 2.0)
-    return chi2_cdf(k + 2, a) / denom
+        return float(a / (k + 2.0))
+    return float(chi2_cdf(k + 2, a) / denom)

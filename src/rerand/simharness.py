@@ -141,6 +141,7 @@ class CellRecord:
     v_ak: float | None = None
     exhausted: int = 0
     mean_draws: float = 1.0
+    accept_rate: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,10 @@ def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
         seconds = np.stack([c.seconds for c in draws], axis=-1)
         v_ak = np.stack([c.v_ak for c in draws], axis=-1)
         exhausted = np.sum([c.exhausted for c in draws], axis=0)
-        mean_draws = np.mean([c.draws for c in draws], axis=0)
+        total_draws = np.sum([c.draws for c in draws], axis=0)
+        mean_draws = total_draws / len(draws)
+        # every replication that did not exhaust accepted exactly once
+        accept_rate = (len(draws) - exhausted) / total_draws
         k_modal, k_mean = int(np.bincount(ks).argmax()), float(ks.mean())
 
         for si, scheme in enumerate(schemes):
@@ -359,6 +363,7 @@ def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
                     v_ak=vak,
                     exhausted=int(exhausted[si]),
                     mean_draws=float(mean_draws[si]),
+                    accept_rate=float(accept_rate[si]),
                 ))
 
 
@@ -469,6 +474,7 @@ _RECORD_FIELDS = (
     ("r_sigma_bar_sq", "r_sigma_bar_sq"), ("r_mse", "r_mse"),
     ("k_selected", "k_selected"), ("k_mean", "k_mean"), ("v_ak", "v_ak"),
     ("exhausted", "exhausted"), ("mean_draws", "mean_draws"),
+    ("accept_rate", "accept_rate"),
 )
 
 

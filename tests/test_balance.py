@@ -411,6 +411,22 @@ class TestCalibrate:
         choose_lambda(basis, 0.05, beta=np.ones(6))
         assert _stream_rows.cache_info()[:2] == (3, 1)
 
+    def test_quantile_and_shrinkage_are_memoized(self):
+        # repeated calibrations of one cell reuse the chi-square quantile and
+        # the shrinkage coefficient, and get the uncached floats back
+        x, basis = _setup(50, 6, 82)
+        chi2_quantile.cache_clear()
+        shrinkage_coeff.cache_clear()
+        first = [calibrate("pca", 0.05, basis, k=3) for _ in range(3)]
+        assert chi2_quantile.cache_info()[:2] == (2, 1)  # hits, misses
+        assert len({c.threshold for c in first}) == 1
+        assert first[0].threshold == chi2_quantile.__wrapped__(3, 0.05)
+        values = [predict_reduction(c, basis).shrinkage_value for c in first]
+        assert shrinkage_coeff.cache_info()[:2] == (2, 1)
+        assert len(set(values)) == 1
+        assert values[0] == shrinkage_coeff.__wrapped__(3, first[0].threshold)
+        assert type(first[0].threshold) is float and type(values[0]) is float
+
     def test_ridge_stream_matches_generator_path(self):
         x, basis = _setup(60, 6, 77)
         for stream in (RngStream(78), _CALIBRATION_STREAM):
@@ -539,6 +555,36 @@ class TestPredictReduction:
         beta = basis.v[:, k:] @ tail_coef
         rep = predict_reduction(crit, basis, beta=beta)
         assert abs(rep.predicted_tau_var_reduction) < 1e-12
+
+    def test_ridge_shrinkage_replays_the_calibration_sample(self):
+        # the shrinkage estimate scores the n_cal rows of the stream the
+        # threshold was calibrated on, not the default 10000-row sample
+        x, basis = _setup(200, 50, 83)
+        stream = RngStream(84)
+        crit = calibrate("ridge", 0.05, basis, n_cal=500, rng=stream)
+        assert (crit.n_cal, crit.cal_stream) == (500, stream)
+        rows = half_split_matrix(200, 500, stream.generator())
+        dists = batch_distances(crit, basis, rows)
+        accepted = dists <= np.quantile(dists, 0.05)
+        assert accepted.sum() == 25
+        sq = (rows.astype(float) @ basis.u) ** 2
+        want = sq[accepted].mean(axis=0) / sq.mean(axis=0)
+        got = predict_reduction(crit, basis).per_component_shrinkage
+        np.testing.assert_allclose(got, np.clip(want, 1e-12, 1.0), rtol=1e-9)
+
+    def test_ridge_default_sample_is_recorded(self):
+        x, basis = _setup(40, 5, 85)
+        crit = calibrate("ridge", 0.05, basis)
+        assert (crit.n_cal, crit.cal_stream) == (10000, _CALIBRATION_STREAM)
+        for scheme in ("cr", "rer"):
+            assert calibrate(scheme, 0.05, basis).cal_stream is None
+
+    def test_ridge_generator_sample_cannot_be_replayed(self):
+        x, basis = _setup(40, 5, 86)
+        crit = calibrate("ridge", 0.05, basis, n_cal=500, rng=np.random.default_rng(87))
+        assert crit.cal_stream is None
+        with pytest.raises(ValueError, match="Generator cannot be replayed"):
+            predict_reduction(crit, basis)
 
     def test_uncalibrated_rejected(self):
         x, basis = _setup(10, 3, 58)

@@ -157,7 +157,7 @@ class TestSimulate:
         assert len(metrics) == 3  # header + cr + pca
         assert all(set(r) == set(metrics[0]) for r in summary["records"])
         cr = next(r for r in summary["records"] if r["scheme"] == "cr")
-        assert cr["mean_draws"] == 1.0
+        assert (cr["mean_draws"], cr["accept_rate"]) == (1.0, 1.0)
         assert main(["simulate", "--schema"]) == 0
         schema = capsys.readouterr().out.split("summary.json", 1)[0]
         assert set(metrics[0]) <= set(re.findall(r"\w+", schema))

@@ -3,9 +3,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rerand import engine
 from rerand.balance import (
     batch_distances,
     calibrate,
@@ -29,9 +30,21 @@ def _setup(n, d, seed):
 
 
 @functools.cache
-def _small_design(scheme):
+def _small_design(scheme, p_a=0.02):
     x, basis = _setup(30, 5, 40)
-    return x, basis, calibrate(scheme, 0.02, basis, k=3, n_cal=2000)
+    return x, basis, calibrate(scheme, p_a, basis, k=3, n_cal=2000)
+
+
+def _count_rows(monkeypatch):
+    """Record the row count of every draw the rejection loop makes."""
+    counts = []
+
+    def counting(n, count, rng):
+        counts.append(count)
+        return half_split_matrix(n, count, rng)
+
+    monkeypatch.setattr(engine, "half_split_matrix", counting)
+    return counts
 
 
 def _draw_at_a_time(x, basis, crit, rng, max_draws):
@@ -186,12 +199,19 @@ class TestRerandomize:
 
     @given(
         scheme=st.sampled_from(["rer", "pca", "ridge"]),
+        p_a=st.sampled_from([0.02, 0.001]),
         seed=st.integers(0, 2**32 - 1),
-        max_draws=st.integers(1, 400),
+        max_draws=st.integers(1, 1500),
     )
-    def test_batched_loop_matches_draw_at_a_time(self, scheme, seed, max_draws):
-        # max_draws up to 400 spans the 16-, 64- and 256-row batches
-        x, basis, crit = _small_design(scheme)
+    @example("rer", 0.001, 6, 1500)  # accepts at draw 1240
+    @example("pca", 0.001, 11, 1500)  # 1206
+    @example("ridge", 0.001, 0, 1500)  # 1412
+    @example("pca", 0.001, 0, 1500)  # exhausts: the best of 1500 draws
+    def test_batched_loop_matches_draw_at_a_time(self, scheme, p_a, seed, max_draws):
+        # max_draws up to 1500 spans the 16- and 64-row batches and several
+        # capped 256-row ones; p_a = 0.001 makes runs reach them, and the
+        # explicit examples end in the fourth or fifth capped batch
+        x, basis, crit = _small_design(scheme, p_a)
         res = rerandomize(x, crit, RngStream(seed), max_draws=max_draws, basis=basis)
         w, value, draws, accepted = _draw_at_a_time(
             x, basis, crit, RngStream(seed), max_draws
@@ -199,6 +219,29 @@ class TestRerandomize:
         np.testing.assert_array_equal(res.allocation.assignment, w.assignment)
         assert res.criterion_value == pytest.approx(value, rel=1e-9)
         assert (res.draws_attempted, res.accepted) == (draws, accepted)
+
+    def test_batch_schedule(self, monkeypatch):
+        # 16, 64, then capped at 256; the last batch stops at max_draws
+        x, basis = _setup(40, 5, 43)
+        never = dataclasses.replace(calibrate("pca", 0.05, basis, k=3), threshold=-1.0)
+        counts = _count_rows(monkeypatch)
+        res = rerandomize(x, never, RngStream(44), max_draws=1000, basis=basis)
+        assert not res.accepted and res.draws_attempted == 1000
+        assert counts == [16, 64, 256, 256, 256, 152]
+
+    def test_rows_thrown_away_stay_below_the_cap(self, monkeypatch):
+        # At p_a = 0.001 the accepted draw lands in a capped batch; only the
+        # rows after it in that batch are drawn and not used.
+        x, basis = _setup(100, 10, 45)
+        crit = calibrate("pca", 0.001, basis, k=5)
+        counts = _count_rows(monkeypatch)
+        wasted = []
+        for i in range(40):
+            counts.clear()
+            res = rerandomize(x, crit, RngStream(46).child(i), basis=basis)
+            assert res.accepted
+            wasted.append(sum(counts) - res.draws_attempted)
+        assert 0 <= min(wasted) and max(wasted) < 256
 
     def test_allocation_owns_its_data(self):
         # a view would keep the whole draw batch alive with the result

@@ -223,6 +223,18 @@ class TestRunStudy:
             assert r.exhausted == 0
             # about 1/p_a = 20 draws per accepted allocation; cr draws once
             assert r.mean_draws == 1.0 if r.scheme == "cr" else 5 < r.mean_draws < 80
+            assert r.accept_rate == pytest.approx(1.0 / r.mean_draws, rel=1e-15)
+            assert r.accept_rate == 1.0 if r.scheme == "cr" else r.accept_rate < 1.0
+
+    def test_degenerate_cell_accepts_nothing(self):
+        # d = n = 16: rank n-1, so rer is the constant 15 against a
+        # threshold of about 7.3 and every replication is one rejected draw
+        grid = _small_grid(n_levels=(16,), d_levels=(16,), rho_levels=(0.5,),
+                           schemes=("rer",), replications=4, groups=2)
+        with pytest.warns(UserWarning, match="degenerates"):
+            report = run_study(grid, master_seed=114)
+        rer = next(r for r in report.records if r.scheme == "rer")
+        assert (rer.exhausted, rer.mean_draws, rer.accept_rate) == (4, 1.0, 0.0)
 
     def test_cr_baseline_is_exactly_zero(self):
         report = run_study(_small_grid(), master_seed=101)
@@ -289,7 +301,7 @@ class TestRunStudy:
                     1, rng.standard_normal((len(schemes), d)),
                     1.0 + rng.standard_normal((len(schemes), len(models))),
                     rng.random(len(schemes)), np.full(len(schemes), np.nan),
-                    np.zeros(len(schemes), dtype=bool),
+                    rng.random(len(schemes)) < 0.3,
                     rng.integers(1, 500, len(schemes)).astype(float),
                 )
                 for _, d in cells
@@ -314,10 +326,12 @@ class TestRunStudy:
                         r_mse[mi, g] = 1.0 - mse[0] / mse[1]
                 got = report.sigma_groups[(n, d, 0.5, scheme)]
                 assert got.tobytes() == r_sig.tobytes()
-                draws = sum(rep[ci].draws[si] for rep in reps) / len(reps)
+                total = sum(rep[ci].draws[si] for rep in reps)
+                accepted = sum(not rep[ci].exhausted[si] for rep in reps)
                 for r in report.records:
                     if (r.n, r.d, r.scheme) == (n, d, scheme):
-                        assert r.mean_draws == draws  # integer sums are exact
+                        assert r.mean_draws == total / len(reps)  # integer sums are exact
+                        assert r.accept_rate == accepted / total
                 for mi, (surf, bc, rv) in enumerate(models):
                     got = report.mse_groups[(n, d, 0.5, surf, bc, rv, scheme)]
                     assert got.tobytes() == r_mse[mi].tobytes()
