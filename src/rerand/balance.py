@@ -27,6 +27,14 @@ calibration, shrinkage estimate and penalty search at the same (n, n_cal)
 reuses one seeded draw per process. A ridge criterion records its n_cal
 and calibration stream, and its shrinkage estimate replays exactly the
 rows its threshold was set on.
+
+Calibration and shrinkage read that memo bit-packed and reduce it one
+1024-row block at a time: unpack, convert to float64, project, and sum
+(or weight) the block's terms before the next block. A warm ridge
+calibration at n = 1000, d = 180 so peaks at about 11 MB of allocation,
+where unpacking all 10000 rows and holding their 180 x 10000 terms took
+about 33 MB. Every row still goes through the same block product, so
+thresholds and distances are unchanged.
 """
 
 from __future__ import annotations
@@ -52,8 +60,8 @@ SCHEMES = ("cr", "rer", "ridge", "pca")
 # the same inputs are identical across runs (and share one memoized draw).
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
-# _terms converts and projects allocation rows in blocks of this many. The
-# engine's rejection batches are smaller, so each batch is one block.
+# _term_blocks converts and projects allocation rows in blocks of this many.
+# The engine's rejection batches are smaller, so each batch is one block.
 _BLOCK_ROWS = 1024
 
 _NEAR_EQUAL_MSG = (
@@ -164,29 +172,62 @@ def mahalanobis_ridge(
     return float((_ridge_weights(basis, c, lam) * t).sum())
 
 
-def _terms(basis: SpectralBasis, w_matrix: np.ndarray, k: int | None) -> np.ndarray:
-    """Summands t_j of the leading k components (all p for k = None), one
-    column per allocation row of w_matrix; the slice keeps the top-k cost
-    per draw at O(nk).
+def _term_blocks(
+    basis: SpectralBasis, w_matrix: np.ndarray, k: int | None, packed: bool = False
+):
+    """Summands t_j of the leading k components (all p for k = None) of the
+    allocation rows of w_matrix, one `_BLOCK_ROWS`-row block at a time.
 
-    Rows are converted to float and projected `_BLOCK_ROWS` at a time into
-    one preallocated output, so a 10000-row calibration never holds more
-    than one block in float64. A row's terms depend only on the block it
-    falls in.
+    Yields (t, wide) per block. t holds one column per row of the block,
+    in a buffer the next block overwrites, so a 10000-row calibration never
+    holds more than one block in float64. The slice keeps the top-k cost
+    per draw at O(nk). Packed rows (np.packbits(rows, axis=1)) are unpacked
+    one block at a time. A row's terms depend only on the block it falls in.
+
+    wide is t, except for a one-row last block of a longer call: then it
+    is t beside a stale column of the previous block. numpy reduces a lone
+    column with other kernels (pairwise sum, dot product) than a matrix, so
+    `_distances` reduces wide, and a row's distance does not depend on
+    whether it is alone in its block.
     """
     w = np.asarray(w_matrix)
-    m, n = w.shape
-    if n != basis.n:
+    n = basis.n
+    if w.ndim != 2 or w.shape[1] != (-(-n // 8) if packed else n):
         raise ValueError("allocation length disagrees with basis rows")
-    n_t = int(round(float(w[0].sum())))
-    r = 1.0 / n_t + 1.0 / (n - n_t)
     ut = basis.u[:, :k].T
-    out = np.empty((ut.shape[0], m))
-    for lo in range(0, m, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        np.matmul(ut, w[block].astype(float).T, out=out[:, block])
-    np.square(out, out=out)
-    out *= r * (n - 1)
+    buf = np.empty((ut.shape[0], min(len(w), _BLOCK_ROWS)))
+    scale = None
+    for lo in range(0, len(w), _BLOCK_ROWS):
+        rows = w[lo : lo + _BLOCK_ROWS]
+        if packed:
+            rows = np.unpackbits(rows, axis=1, count=n)
+        if scale is None:
+            n_t = int(round(float(rows[0].sum())))
+            scale = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
+        t = buf[:, : len(rows)]
+        np.matmul(ut, rows.astype(float).T, out=t)
+        np.square(t, out=t)
+        t *= scale
+        yield t, (buf[:, :2] if lo and len(rows) == 1 else t)
+
+
+def _distances(t: np.ndarray, wide: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Criterion values of one block from `_term_blocks`: the sum of its
+    terms, or their ridge-weighted sum when weights are given."""
+    d = wide.sum(axis=0) if weights is None else weights @ wide
+    return d if wide is t else d[:1]  # wide is wider only around a lone row
+
+
+def _terms(
+    basis: SpectralBasis, w_matrix: np.ndarray, k: int | None, packed: bool = False
+) -> np.ndarray:
+    """All the summands of `_term_blocks` as one matrix, a column per row."""
+    w = np.asarray(w_matrix)
+    out = np.empty((basis.u[:, :k].shape[1], len(w)))
+    lo = 0
+    for t, _ in _term_blocks(basis, w, k, packed):
+        out[:, lo : lo + t.shape[1]] = t
+        lo += t.shape[1]
     return out
 
 
@@ -196,15 +237,19 @@ def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
     return scaled / (scaled + lam)
 
 
-def _variance_ratio(terms: np.ndarray, accepted: np.ndarray) -> np.ndarray:
-    """Per-component variance of the accepted draws over that of all draws."""
-    return terms[:, accepted].mean(axis=1) / terms.mean(axis=1)
-
-
 def batch_distances(
-    criterion: BalanceCriterion, basis: SpectralBasis, w_matrix: np.ndarray
+    criterion: BalanceCriterion,
+    basis: SpectralBasis,
+    w_matrix: np.ndarray,
+    packed: bool = False,
 ) -> np.ndarray:
     """Criterion values for many allocations at once (rows of w_matrix).
+
+    w_matrix holds 0/1 rows of length n or, with packed=True, the same
+    rows bit-packed as np.packbits(rows, axis=1) (ceil(n/8) bytes each,
+    as half_split_matrix(..., packed=True) returns them). Rows are
+    reduced to distances one `_BLOCK_ROWS`-row block at a time, so the
+    float64 memory held is one block's, whatever the number of rows.
 
     The top-k criterion touches only the first k left singular vectors,
     so its per-draw cost is O(nk) against O(np) for the full and ridge
@@ -212,10 +257,12 @@ def batch_distances(
     """
     if criterion.scheme == "cr":
         raise ValueError("complete randomization has no balance distance")
-    terms = _terms(basis, w_matrix, criterion.k)
+    weights = None
     if criterion.scheme == "ridge":
-        return _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
-    return terms.sum(axis=0)
+        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
+    blocks = _term_blocks(basis, w_matrix, criterion.k, packed)
+    parts = [_distances(t, wide, weights) for t, wide in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def default_lambda(basis: SpectralBasis) -> float:
@@ -240,17 +287,21 @@ def choose_lambda(
     sum_j (1 - xi_j) sigma_j^2 (V'beta)_j^2, with xi_j the Monte Carlo
     per-component shrinkage on a shared seeded calibration sample. This
     is a stand-in for exact penalty optimization, which has no closed
-    form here.
+    form here. Unlike calibration, the search holds the whole p x n_cal
+    terms matrix (14.4 MB at p = 180, n_cal = 10000), since it scores all
+    13 candidates on it.
     """
     base = default_lambda(basis)
     if beta is None:
         return base
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
-    terms = _terms(basis, half_split_matrix(basis.n, n_cal, rng or _CALIBRATION_STREAM), None)
+    rows = half_split_matrix(basis.n, n_cal, rng or _CALIBRATION_STREAM, packed=True)
+    terms = _terms(basis, rows, None, packed=True)
     c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
     btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
     sig2 = basis.singular_values**2
+    mean_terms = terms.mean(axis=1)
 
     best_lam, best_score = base, -np.inf
     for g in range(-6, 7):
@@ -260,7 +311,7 @@ def choose_lambda(
         acc = dists <= a
         if not acc.any():
             continue
-        xi = _variance_ratio(terms, acc)
+        xi = terms[:, acc].mean(axis=1) / mean_terms  # accepted over all variance
         score = float(((1.0 - xi) * sig2 * btil2).sum())
         if score > best_score + 1e-12:
             best_lam, best_score = lam, score
@@ -270,7 +321,7 @@ def choose_lambda(
 def calibrate(
     scheme: str,
     p_a: float,
-    basis: SpectralBasis,
+    basis: SpectralBasis | int,
     k: int | None = None,
     lam: float | None = None,
     n_cal: int = 10000,
@@ -282,16 +333,18 @@ def calibrate(
     rank, resp. k); "rer" is "pca" over all p components, so k is ignored
     for it. "ridge" is calibrated as the empirical p_a quantile of the
     criterion over n_cal seeded complete randomizations (the first n_cal
-    rows of rng, by default a fixed stream). "cr" has no threshold.
-    Arguments a scheme does not use are ignored. When the
-    criterion sums all p = n-1 components it is the constant n-1; the rule
-    is flagged degenerate and the engine decides it on a single draw.
+    rows of rng, by default a fixed stream). "cr" has no threshold and
+    reads only the unit count of basis, so the count n may be passed in
+    its place, which spares the SVD. Arguments a scheme does not use are
+    ignored. When the criterion sums all p = n-1 components it is the
+    constant n-1; the rule is flagged degenerate and the engine decides it
+    on a single draw.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
-    n = basis.n
+    n = basis if scheme == "cr" and isinstance(basis, int) else basis.n
     c_n = sigma_factor(n - n // 2, n // 2)
 
     if scheme == "cr":
@@ -307,7 +360,8 @@ def calibrate(
             "ridge", p_a, c_n, threshold=np.inf, lam=float(lam), n_cal=n_cal,
             cal_stream=rng if isinstance(rng, RngStream) else None,
         )
-        dists = batch_distances(probe, basis, half_split_matrix(n, n_cal, rng))
+        rows = half_split_matrix(n, n_cal, rng, packed=True)
+        dists = batch_distances(probe, basis, rows, packed=True)
         return replace(probe, threshold=float(np.quantile(dists, p_a)))
 
     if scheme == "rer":
@@ -345,13 +399,22 @@ def _ridge_component_shrinkage(criterion: BalanceCriterion, basis: SpectralBasis
             "records no RngStream for it (a numpy Generator cannot be replayed); "
             "calibrate with rng=None or an RngStream"
         )
-    rows = half_split_matrix(basis.n, criterion.n_cal, criterion.cal_stream)
-    terms = _terms(basis, rows, None)
-    dists = _ridge_weights(basis, criterion.sigma_factor, criterion.lam) @ terms
-    acc = dists <= criterion.threshold
-    if not acc.any():
+    # Per block, each component's terms are added up over all rows and over
+    # the accepted ones (distances as batch_distances computes them), so
+    # only O(p) sums are held, not the p x n_cal terms.
+    rows = half_split_matrix(basis.n, criterion.n_cal, criterion.cal_stream, packed=True)
+    weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
+    total = np.zeros(basis.p)
+    kept = np.zeros(basis.p)
+    n_acc = 0
+    for t, wide in _term_blocks(basis, rows, None, packed=True):
+        acc = _distances(t, wide, weights) <= criterion.threshold
+        total += t.sum(axis=1)
+        kept += t[:, acc].sum(axis=1)
+        n_acc += int(acc.sum())
+    if not n_acc:
         return np.ones(basis.p)
-    return np.clip(_variance_ratio(terms, acc), 1e-12, 1.0)
+    return np.clip((kept / n_acc) / (total / len(rows)), 1e-12, 1.0)
 
 
 def predict_reduction(

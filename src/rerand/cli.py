@@ -125,10 +125,17 @@ def _cmd_allocate(args) -> int:
         raise ValueError("odd number of units; pass --near-equal to allow")
 
     root = RngStream(seed)
-    basis = decompose(x)
-    sel = select_k(basis, args.gamma)
+    if args.scheme == "cr":
+        # Complete randomization reads nothing of the spectral basis, so the
+        # SVD is skipped; a design of constant columns is allocated too.
+        if not 0.0 < args.gamma < 1.0:
+            raise ValueError("gamma must lie strictly inside (0, 1)")
+        basis, k = None, None
+    else:
+        basis = decompose(x)
+        k = select_k(basis, args.gamma).k
     lam = _parse_lambda(getattr(args, "lambda"))
-    criterion = calibrate(args.scheme, args.pa, basis, k=sel.k, lam=lam)
+    criterion = calibrate(args.scheme, args.pa, basis or x.n, k=k, lam=lam)
 
     baseline = complete_randomization(x.n, root.child(0), near_equal=args.near_equal)
     result = rerandomize(

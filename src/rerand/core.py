@@ -3,6 +3,10 @@
 Everything here is immutable after construction. Operations are pure
 functions of their inputs plus an explicitly passed random stream, so
 concurrent use across independent streams is safe.
+
+The rows of a fixed RngStream are memoized bit-packed (one bit per unit).
+half_split_matrix(..., packed=True) hands out that memo itself, so a
+caller that works one block of rows at a time unpacks only that block.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or a numpy Generator")
 
 
-def half_split_matrix(n: int, count: int, rng) -> np.ndarray:
+def half_split_matrix(n: int, count: int, rng, packed: bool = False) -> np.ndarray:
     """count x n int8 matrix of independent equal-split 0/1 rows.
 
     Odd n puts the extra unit in treatment (ceil(n/2) ones per row).
@@ -177,17 +181,31 @@ def half_split_matrix(n: int, count: int, rng) -> np.ndarray:
     meaning the first `count` rows of that stream. The stream form is
     memoized: the last 8 distinct (n, count, stream) calls are kept
     bit-packed, count * ceil(n/8) bytes each (1.25 MB for 10000 rows at
-    n = 1000), so at most 8 times that. Every call returns a fresh array.
+    n = 1000), so at most 8 times that.
+
+    With packed=True the rows come back as np.packbits(rows, axis=1), a
+    count x ceil(n/8) uint8 matrix. For a stream that is the memo's own
+    read-only array, not a copy; otherwise every call returns a fresh
+    array.
     """
     if isinstance(rng, RngStream):
-        return np.unpackbits(_stream_rows(n, count, rng), axis=1, count=n).view(np.int8)
-    return _split_rows(n, count, rng)
+        rows = _stream_rows(n, count, rng)
+        return rows if packed else np.unpackbits(rows, axis=1, count=n).view(np.int8)
+    rows = _split_rows(n, count, rng)
+    return np.packbits(rows, axis=1) if packed else rows
 
 
 @functools.lru_cache(maxsize=8)  # the factorial grid calibrates ridge at 4 n
 def _stream_rows(n: int, count: int, stream: RngStream) -> np.ndarray:
     # Read-only: every caller of the same (n, count, stream) shares it.
-    packed = np.packbits(_split_rows(n, count, stream.generator()), axis=1)
+    # Filled one key block of rows at a time, so even a cold fill never
+    # holds the unpacked count x n matrix.
+    gen = stream.generator()
+    packed = np.empty((count, -(-n // 8)), dtype=np.uint8)
+    step = max(1, _KEY_BLOCK // n)
+    for lo in range(0, count, step):
+        rows = _split_rows(n, min(step, count - lo), gen)
+        packed[lo : lo + step] = np.packbits(rows, axis=1)
     packed.flags.writeable = False
     return packed
 

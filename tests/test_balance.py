@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rerand.balance import (
     _CALIBRATION_STREAM,
     BalanceCriterion,
+    _ridge_weights,
     _terms,
     batch_distances,
     calibrate,
@@ -246,6 +247,36 @@ class TestBatchDistances:
         assert whole.shape == (basis.p if k is None else k, len(rows))
         assert whole.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 255, 1024, 1025, 2049, 3000])
+    def test_block_reduction_equals_whole_matrix_reduction(self, count):
+        # Distances are reduced block by block, from packed or unpacked rows,
+        # yet equal the reduction of the whole terms matrix bit for bit, a
+        # lone row in the last block (1025, 2049) included.
+        x, basis = _setup(62, 10, 92)
+        rows = half_split_matrix(62, count, RngStream(93).generator())
+        packed = np.packbits(rows, axis=1)
+        c, lam, k = sigma_factor(31, 31), default_lambda(basis), 4
+        for crit, whole in (
+            (BalanceCriterion("rer", 0.05, c, threshold=np.inf),
+             _terms(basis, rows, None).sum(axis=0)),
+            (BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
+             _terms(basis, rows, k).sum(axis=0)),
+            (BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
+             _ridge_weights(basis, c, lam) @ _terms(basis, rows, None)),
+        ):
+            assert batch_distances(crit, basis, rows).tobytes() == whole.tobytes()
+            got = batch_distances(crit, basis, packed, packed=True)
+            assert got.tobytes() == whole.tobytes()
+
+    def test_packed_rows_of_the_wrong_width_are_rejected(self):
+        x, basis = _setup(62, 10, 94)
+        crit = calibrate("rer", 0.05, basis)
+        rows = half_split_matrix(62, 4, RngStream(95).generator())
+        with pytest.raises(ValueError):
+            batch_distances(crit, basis, rows, packed=True)
+        with pytest.raises(ValueError):
+            batch_distances(crit, basis, np.packbits(rows, axis=1))
+
     def test_cr_has_no_distance(self):
         x, basis = _setup(10, 3, 38)
         crit = calibrate("cr", 0.05, basis)
@@ -388,7 +419,7 @@ class TestCalibrate:
     def test_ridge_calibration_memory_budget(self):
         # Calibration rows are converted and projected in 1024-row blocks, so
         # the 10000 x 1000 int8 draw matrix is never copied to float64 whole
-        # (80 MB); the draws and the 180 x 10000 terms take about 25 MB.
+        # (80 MB); a calibration peaks at about 11 MB (see the 16 MB test).
         x, basis = _setup(1000, 180, 72)
         tracemalloc.start()
         try:
@@ -397,6 +428,32 @@ class TestCalibrate:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_ridge_calibration_reduces_one_block_at_a_time(self):
+        # A warm calibration unpacks, projects and reduces one 1024-row block
+        # at a time, and so does the shrinkage estimate; holding the unpacked
+        # 10000 rows and their 180 x 10000 terms peaked at about 33 MB.
+        x, basis = _setup(1000, 180, 72)
+        crit = calibrate("ridge", 0.05, basis)  # memoizes the packed draw
+        peaks = []
+        for run in (lambda: calibrate("ridge", 0.05, basis),
+                    lambda: predict_reduction(crit, basis)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16e6
+
+    @pytest.mark.parametrize("n", [62, 1002])
+    @pytest.mark.parametrize("n_cal", [1, 1023, 1025, 3000])
+    def test_ridge_threshold_is_the_quantile_of_unpacked_distances(self, n, n_cal):
+        x, basis = _setup(n, 10, 90)
+        stream = RngStream(91)
+        crit = calibrate("ridge", 0.05, basis, n_cal=n_cal, rng=stream)
+        rows = half_split_matrix(n, n_cal, stream.generator())
+        assert crit.threshold == float(np.quantile(batch_distances(crit, basis, rows), 0.05))
 
     def test_ridge_draw_is_reused(self):
         # calibrations, the shrinkage estimate and the penalty search on one
@@ -567,6 +624,19 @@ class TestPredictReduction:
         dists = batch_distances(crit, basis, rows)
         accepted = dists <= np.quantile(dists, 0.05)
         assert accepted.sum() == 25
+        sq = (rows.astype(float) @ basis.u) ** 2
+        want = sq[accepted].mean(axis=0) / sq.mean(axis=0)
+        got = predict_reduction(crit, basis).per_component_shrinkage
+        np.testing.assert_allclose(got, np.clip(want, 1e-12, 1.0), rtol=1e-9)
+
+    def test_ridge_shrinkage_sums_over_blocks(self):
+        # 2049 calibration rows make three blocks, the last a lone row; the
+        # per-block sums give the variance ratio of the whole sample
+        x, basis = _setup(62, 8, 96)
+        stream = RngStream(97)
+        crit = calibrate("ridge", 0.05, basis, n_cal=2049, rng=stream)
+        rows = half_split_matrix(62, 2049, stream.generator())
+        accepted = batch_distances(crit, basis, rows) <= crit.threshold
         sq = (rows.astype(float) @ basis.u) ** 2
         want = sq[accepted].mean(axis=0) / sq.mean(axis=0)
         got = predict_reduction(crit, basis).per_component_shrinkage

@@ -76,6 +76,28 @@ class TestAllocate:
         assert report["criterion_value"] is None
         assert report["draws_attempted"] == 1
 
+    def test_cr_needs_no_spectral_basis(self, tmp_path, capsys):
+        # cr skips the SVD, so it allocates an all-constant design, which
+        # has no spectral basis; the balance schemes still reject it
+        cov = tmp_path / "flat.csv"
+        cov.write_text("a,b\n" + "1.5,-2\n" * 20)
+        out = tmp_path / "run"
+        args = ["allocate", "--input", str(cov), "--seed", "7", "--out", str(out)]
+        assert main(args + ["--scheme", "cr"]) == 0
+        assert sum(int(r[1]) for r in _read(out / "allocation.csv")[1:]) == 10
+        assert _read(out / "diagnostics.csv")[1] == ["a", "0.0", "0.0"]
+        capsys.readouterr()
+        for scheme in ("rer", "pca", "ridge"):
+            assert main(args + ["--scheme", scheme]) == 1
+            assert "no spectral basis" in capsys.readouterr().err
+
+    def test_cr_keeps_the_gamma_range_error(self, tmp_path, capsys):
+        cov = _cov_csv(tmp_path / "cov.csv")
+        for scheme in ("cr", "pca"):
+            assert main(["allocate", "--input", cov, "--scheme", scheme, "--gamma", "1.5",
+                         "--seed", "7", "--out", str(tmp_path / "run")]) == 1
+            assert "gamma must lie strictly inside (0, 1)" in capsys.readouterr().err
+
     def test_ridge_with_explicit_lambda(self, tmp_path):
         cov = _cov_csv(tmp_path / "cov.csv")
         out = tmp_path / "run"

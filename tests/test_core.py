@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -233,6 +234,32 @@ class TestHalfSplitMatrix:
         assert packed.shape == (50, 5) and not packed.flags.writeable
         with pytest.raises(ValueError):
             packed[0, 0] = 0
+
+    @pytest.mark.parametrize("n, count", [(33, 50), (7, _KEY_BLOCK // 7 + 1), (1000, 131)])
+    def test_packed_form_is_packbits_of_the_rows(self, n, count):
+        stream = RngStream(88, n)
+        want = np.packbits(half_split_matrix(n, count, stream.generator()), axis=1)
+        packed = half_split_matrix(n, count, stream, packed=True)
+        assert packed is _stream_rows(n, count, stream)  # the memo, not a copy
+        assert packed.shape == (count, -(-n // 8)) and not packed.flags.writeable
+        assert packed.tobytes() == want.tobytes()
+        fresh = half_split_matrix(n, count, stream.generator(), packed=True)
+        assert fresh.dtype == np.uint8 and fresh.flags.writeable
+        assert fresh.tobytes() == want.tobytes()
+
+    def test_cold_stream_fill_memory(self):
+        # The memo is filled one key block (65 rows at n = 1000) at a time, so
+        # the 10000 x 1000 int8 matrix (10 MB) never exists: only the 1.25 MB
+        # of packed rows and one block's keys.
+        fill = _stream_rows.__wrapped__  # a cold fill, whatever the cache holds
+        fill(1000, 10, RngStream(89))  # lazy imports out of the count
+        tracemalloc.start()
+        try:
+            packed = fill(1000, 10000, RngStream(89))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert packed.nbytes == 1_250_000 and peak < 3e6
 
     @pytest.mark.parametrize("n, seed", [(6, 72), (7, 73)])
     def test_uniform_over_all_splits(self, n, seed):
