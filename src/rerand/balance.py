@@ -21,20 +21,21 @@ from one kernel of summands.
 The ridge threshold has no closed form (the criterion follows a mixture
 law), so it is calibrated as an empirical quantile over seeded Monte
 Carlo randomizations; ridge shrinkage diagnostics are likewise Monte
-Carlo estimates, not closed forms. These draws are the first n_cal rows
-of a fixed stream, which core.half_split_matrix memoizes, so every ridge
-calibration, shrinkage estimate and penalty search at the same (n, n_cal)
-reuses one seeded draw per process. A ridge criterion records its n_cal
-and calibration stream, and its shrinkage estimate replays exactly the
-rows its threshold was set on.
+Carlo estimates, not closed forms. These draws are always the first n_cal
+rows of the fixed stream `_CALIBRATION_STREAM`, which
+core.half_split_matrix memoizes bit-packed, so every ridge calibration,
+shrinkage estimate and penalty search at the same (n, n_cal) reuses one
+seeded draw per process. A ridge criterion records its n_cal, and its
+shrinkage estimate replays exactly the rows its threshold was set on.
 
-Calibration and shrinkage read that memo bit-packed and reduce it one
-1024-row block at a time: unpack, convert to float64, project, and sum
-(or weight) the block's terms before the next block. A warm ridge
-calibration at n = 1000, d = 180 so peaks at about 11 MB of allocation,
-where unpacking all 10000 rows and holding their 180 x 10000 terms took
-about 33 MB. Every row still goes through the same block product, so
-thresholds and distances are unchanged.
+The packed rows never leave this module. Calibration and shrinkage
+reduce them one 1024-row block at a time: unpack, convert to float64,
+project, and sum (or weight) the block's terms before the next block. A
+warm ridge calibration at n = 1000, d = 180 so peaks at about 11 MB of
+allocation, where unpacking all 10000 rows and holding their 180 x 10000
+terms took about 33 MB. Packed and 0/1 rows go through the same block
+product, so a calibration row's distance is the one batch_distances
+gives for it unpacked.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .spectral import SpectralBasis
 
 SCHEMES = ("cr", "rer", "ridge", "pca")
 
-# Fixed stream for ridge threshold calibration so that criteria built from
-# the same inputs are identical across runs (and share one memoized draw).
+# The one stream of ridge calibration draws, so that criteria built from the
+# same inputs are identical across runs (and share one memoized draw).
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
 # _term_blocks converts and projects allocation rows in blocks of this many.
@@ -79,9 +80,8 @@ class BalanceCriterion:
     means all p, which is "rer"). dof records the chi-square degrees of
     freedom used to set the threshold ("rer"/"pca" only). degenerate flags
     the rank = n-1 case in which M is the constant n-1 and the rule cannot
-    discriminate. n_cal and cal_stream record the Monte Carlo sample a
-    "ridge" threshold was set on (cal_stream is None when that sample came
-    from a numpy Generator, which cannot be replayed).
+    discriminate. n_cal records the Monte Carlo sample a "ridge" threshold
+    was set on: the first n_cal rows of the calibration stream.
     """
 
     scheme: str
@@ -94,7 +94,6 @@ class BalanceCriterion:
     degenerate: bool = False
     note: str = ""
     n_cal: int | None = None
-    cal_stream: RngStream | None = None
 
 
 @dataclass(frozen=True)
@@ -172,17 +171,18 @@ def mahalanobis_ridge(
     return float((_ridge_weights(basis, c, lam) * t).sum())
 
 
-def _term_blocks(
-    basis: SpectralBasis, w_matrix: np.ndarray, k: int | None, packed: bool = False
-):
+def _term_blocks(basis: SpectralBasis, w: np.ndarray, k: int | None, n_t: int):
     """Summands t_j of the leading k components (all p for k = None) of the
-    allocation rows of w_matrix, one `_BLOCK_ROWS`-row block at a time.
+    allocation rows of w, each with n_t treated units, one `_BLOCK_ROWS`-row
+    block at a time.
 
     Yields (t, wide) per block. t holds one column per row of the block,
     in a buffer the next block overwrites, so a 10000-row calibration never
     holds more than one block in float64. The slice keeps the top-k cost
-    per draw at O(nk). Packed rows (np.packbits(rows, axis=1)) are unpacked
-    one block at a time. A row's terms depend only on the block it falls in.
+    per draw at O(nk). Rows are 0/1 of length n or, ceil(n/8) bytes wide,
+    bit-packed as half_split_matrix gives a stream's rows; packed rows are
+    unpacked one block at a time. A row's terms depend only on the block
+    it falls in.
 
     wide is t, except for a one-row last block of a longer call: then it
     is t beside a stale column of the previous block. numpy reduces a lone
@@ -190,20 +190,15 @@ def _term_blocks(
     `_distances` reduces wide, and a row's distance does not depend on
     whether it is alone in its block.
     """
-    w = np.asarray(w_matrix)
     n = basis.n
-    if w.ndim != 2 or w.shape[1] != (-(-n // 8) if packed else n):
-        raise ValueError("allocation length disagrees with basis rows")
+    packed = w.shape[1] != n  # n >= 2, so ceil(n/8) < n
     ut = basis.u[:, :k].T
     buf = np.empty((ut.shape[0], min(len(w), _BLOCK_ROWS)))
-    scale = None
+    scale = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
     for lo in range(0, len(w), _BLOCK_ROWS):
         rows = w[lo : lo + _BLOCK_ROWS]
         if packed:
             rows = np.unpackbits(rows, axis=1, count=n)
-        if scale is None:
-            n_t = int(round(float(rows[0].sum())))
-            scale = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
         t = buf[:, : len(rows)]
         np.matmul(ut, rows.astype(float).T, out=t)
         np.square(t, out=t)
@@ -218,14 +213,12 @@ def _distances(t: np.ndarray, wide: np.ndarray, weights: np.ndarray | None) -> n
     return d if wide is t else d[:1]  # wide is wider only around a lone row
 
 
-def _terms(
-    basis: SpectralBasis, w_matrix: np.ndarray, k: int | None, packed: bool = False
-) -> np.ndarray:
-    """All the summands of `_term_blocks` as one matrix, a column per row."""
-    w = np.asarray(w_matrix)
+def _terms(basis: SpectralBasis, w: np.ndarray, k: int | None) -> np.ndarray:
+    """All the summands of `_term_blocks` as one matrix, a column per row,
+    for exact-split rows (ceil(n/2) treated) such as calibration rows."""
     out = np.empty((basis.u[:, :k].shape[1], len(w)))
     lo = 0
-    for t, _ in _term_blocks(basis, w, k, packed):
+    for t, _ in _term_blocks(basis, w, k, (basis.n + 1) // 2):
         out[:, lo : lo + t.shape[1]] = t
         lo += t.shape[1]
     return out
@@ -237,17 +230,25 @@ def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
     return scaled / (scaled + lam)
 
 
+def _batch_distances(
+    criterion: BalanceCriterion, basis: SpectralBasis, w: np.ndarray, n_t: int
+) -> np.ndarray:
+    """batch_distances without its checks, for rows of `_term_blocks`."""
+    weights = None
+    if criterion.scheme == "ridge":
+        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
+    blocks = _term_blocks(basis, w, criterion.k, n_t)
+    parts = [_distances(t, wide, weights) for t, wide in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def batch_distances(
-    criterion: BalanceCriterion,
-    basis: SpectralBasis,
-    w_matrix: np.ndarray,
-    packed: bool = False,
+    criterion: BalanceCriterion, basis: SpectralBasis, w_matrix: np.ndarray
 ) -> np.ndarray:
     """Criterion values for many allocations at once (rows of w_matrix).
 
-    w_matrix holds 0/1 rows of length n or, with packed=True, the same
-    rows bit-packed as np.packbits(rows, axis=1) (ceil(n/8) bytes each,
-    as half_split_matrix(..., packed=True) returns them). Rows are
+    w_matrix holds 0/1 rows of length n that all treat the same number of
+    units, strictly between 0 and n (ValueError otherwise). Rows are
     reduced to distances one `_BLOCK_ROWS`-row block at a time, so the
     float64 memory held is one block's, whatever the number of rows.
 
@@ -257,12 +258,16 @@ def batch_distances(
     """
     if criterion.scheme == "cr":
         raise ValueError("complete randomization has no balance distance")
-    weights = None
-    if criterion.scheme == "ridge":
-        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
-    blocks = _term_blocks(basis, w_matrix, criterion.k, packed)
-    parts = [_distances(t, wide, weights) for t, wide in blocks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    w = np.asarray(w_matrix)
+    if w.ndim != 2 or w.shape[1] != basis.n:
+        raise ValueError("allocation length disagrees with basis rows")
+    # one integer row sum; int16 is twice as fast as int32 at n = 1000 and
+    # cannot overflow on 0/1 rows below 2**15 units
+    counts = w.sum(axis=1, dtype=np.int16 if basis.n < 2**15 else np.int32)
+    n_t = int(counts[0]) if len(w) else 0
+    if not 0 < n_t < basis.n or (counts != n_t).any():
+        raise ValueError("rows must all treat the same number of units, strictly between 0 and n")
+    return _batch_distances(criterion, basis, w, n_t)
 
 
 def default_lambda(basis: SpectralBasis) -> float:
@@ -277,7 +282,6 @@ def choose_lambda(
     p_a: float,
     beta=None,
     n_cal: int = 10000,
-    rng: RngStream | None = None,
 ) -> float:
     """Heuristic ridge penalty selection.
 
@@ -285,7 +289,8 @@ def choose_lambda(
     Sigma). With beta, grid-searches powers of ten around that default and
     scores each candidate by the predicted reduction
     sum_j (1 - xi_j) sigma_j^2 (V'beta)_j^2, with xi_j the Monte Carlo
-    per-component shrinkage on a shared seeded calibration sample. This
+    per-component shrinkage on the first n_cal rows of the calibration
+    stream, the sample ridge thresholds are set on. This
     is a stand-in for exact penalty optimization, which has no closed
     form here. Unlike calibration, the search holds the whole p x n_cal
     terms matrix (14.4 MB at p = 180, n_cal = 10000), since it scores all
@@ -296,8 +301,9 @@ def choose_lambda(
         return base
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
-    rows = half_split_matrix(basis.n, n_cal, rng or _CALIBRATION_STREAM, packed=True)
-    terms = _terms(basis, rows, None, packed=True)
+    if n_cal < 1:
+        raise ValueError("n_cal must be at least 1")
+    terms = _terms(basis, half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM), None)
     c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
     btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
     sig2 = basis.singular_values**2
@@ -325,15 +331,14 @@ def calibrate(
     k: int | None = None,
     lam: float | None = None,
     n_cal: int = 10000,
-    rng: RngStream | np.random.Generator | None = None,
 ) -> BalanceCriterion:
     """Build an acceptance rule with threshold set to hit p_a.
 
     "rer" and "pca" thresholds are chi-square quantiles (dof = effective
     rank, resp. k); "rer" is "pca" over all p components, so k is ignored
     for it. "ridge" is calibrated as the empirical p_a quantile of the
-    criterion over n_cal seeded complete randomizations (the first n_cal
-    rows of rng, by default a fixed stream). "cr" has no threshold and
+    criterion over n_cal >= 1 seeded complete randomizations, always the
+    first n_cal rows of the calibration stream. "cr" has no threshold and
     reads only the unit count of basis, so the count n may be passed in
     its place, which spares the SVD. Arguments a scheme does not use are
     ignored. When the criterion sums all p = n-1 components it is the
@@ -355,13 +360,11 @@ def calibrate(
             lam = default_lambda(basis)
         if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        rng = rng or _CALIBRATION_STREAM
-        probe = BalanceCriterion(
-            "ridge", p_a, c_n, threshold=np.inf, lam=float(lam), n_cal=n_cal,
-            cal_stream=rng if isinstance(rng, RngStream) else None,
-        )
-        rows = half_split_matrix(n, n_cal, rng, packed=True)
-        dists = batch_distances(probe, basis, rows, packed=True)
+        if n_cal < 1:
+            raise ValueError("n_cal must be at least 1")
+        probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam), n_cal=n_cal)
+        rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)
+        dists = _batch_distances(probe, basis, rows, (n + 1) // 2)
         return replace(probe, threshold=float(np.quantile(dists, p_a)))
 
     if scheme == "rer":
@@ -393,21 +396,15 @@ def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
 
 def _ridge_component_shrinkage(criterion: BalanceCriterion, basis: SpectralBasis) -> np.ndarray:
     # Monte Carlo per-component variance ratio on the calibration sample.
-    if criterion.cal_stream is None:
-        raise ValueError(
-            "ridge shrinkage replays the calibration sample, but this criterion "
-            "records no RngStream for it (a numpy Generator cannot be replayed); "
-            "calibrate with rng=None or an RngStream"
-        )
     # Per block, each component's terms are added up over all rows and over
     # the accepted ones (distances as batch_distances computes them), so
     # only O(p) sums are held, not the p x n_cal terms.
-    rows = half_split_matrix(basis.n, criterion.n_cal, criterion.cal_stream, packed=True)
+    rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)
     weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
     total = np.zeros(basis.p)
     kept = np.zeros(basis.p)
     n_acc = 0
-    for t, wide in _term_blocks(basis, rows, None, packed=True):
+    for t, wide in _term_blocks(basis, rows, None, (basis.n + 1) // 2):
         acc = _distances(t, wide, weights) <= criterion.threshold
         total += t.sum(axis=1)
         kept += t[:, acc].sum(axis=1)
@@ -424,11 +421,12 @@ def predict_reduction(
 
     For "pca" the component shrinkage is v_{a_k} on the first k components
     and 1 elsewhere; for "rer" it is v_a everywhere; for "ridge" it is a
-    Monte Carlo estimate on the rows the threshold was calibrated on (see
-    module docstring; ValueError if they came from a numpy Generator); for
-    "cr" all ones. The per-covariate percent reduction and the tau_hat
-    variance reduction follow by rotating the shrunk spectrum back
-    through V.
+    Monte Carlo estimate on the n_cal calibration rows the threshold was
+    set on (see module docstring). It is all ones for "cr" and for a
+    degenerate criterion, which the engine runs as complete
+    randomization; both predict zero reduction and no shrinkage_value.
+    The per-covariate percent reduction and the tau_hat variance
+    reduction follow by rotating the shrunk spectrum back through V.
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")
@@ -437,7 +435,7 @@ def predict_reduction(
         shrink = _ridge_component_shrinkage(criterion, basis)
     else:
         shrink = np.ones(basis.p)
-        if criterion.scheme != "cr":
+        if criterion.scheme != "cr" and not criterion.degenerate:
             shrink_value = shrinkage_coeff(criterion.dof, criterion.threshold)
             shrink[: criterion.k] = shrink_value
 

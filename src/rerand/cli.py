@@ -158,8 +158,8 @@ def _cmd_allocate(args) -> int:
         for name, b, a in zip(names, before, after):
             out.writerow([name, format_float(float(b)), format_float(float(a))])
 
-    v_ak = None
-    if criterion.dof is not None:
+    v_ak = None  # a degenerate rule runs as complete randomization: no shrinkage
+    if criterion.dof is not None and not criterion.degenerate:
         v_ak = shrinkage_coeff(criterion.dof, criterion.threshold)
     payload = {
         "scheme": criterion.scheme,

@@ -4,9 +4,10 @@ Everything here is immutable after construction. Operations are pure
 functions of their inputs plus an explicitly passed random stream, so
 concurrent use across independent streams is safe.
 
-The rows of a fixed RngStream are memoized bit-packed (one bit per unit).
-half_split_matrix(..., packed=True) hands out that memo itself, so a
-caller that works one block of rows at a time unpacks only that block.
+half_split_matrix draws fresh int8 rows from a numpy Generator. From a
+fixed RngStream it gives that stream's leading rows bit-packed (one bit
+per unit), as a read-only memo shared by every caller, so a caller that
+works one block of rows at a time unpacks only that block.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError("rng must be an RngStream or a numpy Generator")
 
 
-def half_split_matrix(n: int, count: int, rng, packed: bool = False) -> np.ndarray:
-    """count x n int8 matrix of independent equal-split 0/1 rows.
+def half_split_matrix(n: int, count: int, rng) -> np.ndarray:
+    """count independent equal-split 0/1 rows of n units.
 
     Odd n puts the extra unit in treatment (ceil(n/2) ones per row).
 
@@ -177,22 +178,16 @@ def half_split_matrix(n: int, count: int, rng, packed: bool = False) -> np.ndarr
     calls: one call of a + b rows equals a call of a rows followed by a
     call of b rows.
 
-    `rng` is a numpy Generator, advanced by the draw, or an RngStream,
-    meaning the first `count` rows of that stream. The stream form is
-    memoized: the last 8 distinct (n, count, stream) calls are kept
-    bit-packed, count * ceil(n/8) bytes each (1.25 MB for 10000 rows at
-    n = 1000), so at most 8 times that.
-
-    With packed=True the rows come back as np.packbits(rows, axis=1), a
-    count x ceil(n/8) uint8 matrix. For a stream that is the memo's own
-    read-only array, not a copy; otherwise every call returns a fresh
-    array.
+    A numpy Generator `rng` is advanced by the draw and gives a fresh
+    count x n int8 matrix. An RngStream `rng` means the first `count`
+    rows of that stream, given as np.packbits(rows, axis=1): a read-only
+    count x ceil(n/8) uint8 memo, the same array on every call. The last
+    8 distinct (n, count, stream) calls are kept (1.25 MB for 10000 rows
+    at n = 1000).
     """
     if isinstance(rng, RngStream):
-        rows = _stream_rows(n, count, rng)
-        return rows if packed else np.unpackbits(rows, axis=1, count=n).view(np.int8)
-    rows = _split_rows(n, count, rng)
-    return np.packbits(rows, axis=1) if packed else rows
+        return _stream_rows(n, count, rng)
+    return _split_rows(n, count, rng)
 
 
 @functools.lru_cache(maxsize=8)  # the factorial grid calibrates ridge at 4 n

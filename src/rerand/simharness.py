@@ -105,6 +105,8 @@ class FactorGrid:
             raise ValueError("p_a and gamma must lie strictly inside (0, 1)")
         if self.lam is not None and self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+        if self.ridge_n_cal < 1:
+            raise ValueError("n_cal must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rerand.balance import (
     _CALIBRATION_STREAM,
     BalanceCriterion,
+    _batch_distances,
     _ridge_weights,
     _terms,
     batch_distances,
@@ -249,9 +250,10 @@ class TestBatchDistances:
 
     @pytest.mark.parametrize("count", [1, 255, 1024, 1025, 2049, 3000])
     def test_block_reduction_equals_whole_matrix_reduction(self, count):
-        # Distances are reduced block by block, from packed or unpacked rows,
-        # yet equal the reduction of the whole terms matrix bit for bit, a
-        # lone row in the last block (1025, 2049) included.
+        # Distances are reduced block by block, from 0/1 rows or (in the
+        # private kernel calibration uses) packed ones, yet equal the
+        # reduction of the whole terms matrix bit for bit, a lone row in the
+        # last block (1025, 2049) included.
         x, basis = _setup(62, 10, 92)
         rows = half_split_matrix(62, count, RngStream(93).generator())
         packed = np.packbits(rows, axis=1)
@@ -265,17 +267,44 @@ class TestBatchDistances:
              _ridge_weights(basis, c, lam) @ _terms(basis, rows, None)),
         ):
             assert batch_distances(crit, basis, rows).tobytes() == whole.tobytes()
-            got = batch_distances(crit, basis, packed, packed=True)
-            assert got.tobytes() == whole.tobytes()
+            assert _batch_distances(crit, basis, packed, 31).tobytes() == whole.tobytes()
 
     def test_packed_rows_of_the_wrong_width_are_rejected(self):
+        # the public function takes 0/1 rows of length n only
         x, basis = _setup(62, 10, 94)
         crit = calibrate("rer", 0.05, basis)
         rows = half_split_matrix(62, 4, RngStream(95).generator())
-        with pytest.raises(ValueError):
-            batch_distances(crit, basis, rows, packed=True)
-        with pytest.raises(ValueError):
-            batch_distances(crit, basis, np.packbits(rows, axis=1))
+        for bad in (np.packbits(rows, axis=1), rows[:, :-1], rows[0]):
+            with pytest.raises(ValueError, match="length disagrees"):
+                batch_distances(crit, basis, bad)
+
+    def test_rows_must_share_one_interior_treated_count(self):
+        # Every row is scaled by one treated count. Scaled by the first row's,
+        # a 6/6 row beside a 3/9 row got 0.319 and 2.843 here, where
+        # mahalanobis gives the 3/9 row 3.790; such a batch is rejected now.
+        x, basis = _setup(12, 3, 98)
+        crit = calibrate("rer", 0.05, basis)
+        even, uneven = [1] * 6 + [0] * 6, [1] * 3 + [0] * 9
+        for rows in ([even, uneven], [uneven, even], [[0] * 12] * 2, [[1] * 12]):
+            with pytest.raises(ValueError, match="same number of units"):
+                batch_distances(crit, basis, np.array(rows, dtype=np.int8))
+        with pytest.raises(ValueError, match="same number of units"):
+            batch_distances(crit, basis, np.zeros((0, 12), dtype=np.int8))
+        with pytest.warns(UserWarning, match="not an exact half split"):
+            single = mahalanobis(x, basis, make_allocation(uneven))
+        got = batch_distances(crit, basis, np.array([uneven, uneven], dtype=np.int8))
+        np.testing.assert_allclose(got, single, rtol=1e-12)
+
+    def test_treated_counts_above_int16_range(self):
+        # 32769 treated of 65538: the row sums must not wrap
+        n = 2**16 + 2
+        x, basis = _setup(n, 1, 99)
+        crit = calibrate("rer", 0.05, basis)
+        rows = half_split_matrix(n, 2, RngStream(99).generator())
+        assert batch_distances(crit, basis, rows).shape == (2,)
+        rows[1, np.argmin(rows[1])] = 1
+        with pytest.raises(ValueError, match="same number of units"):
+            batch_distances(crit, basis, rows)
 
     def test_cr_has_no_distance(self):
         x, basis = _setup(10, 3, 38)
@@ -415,6 +444,9 @@ class TestCalibrate:
             calibrate("pca", 0.05, basis, k=99)
         with pytest.raises(ValueError):
             calibrate("ridge", 0.05, basis, lam=-0.5, n_cal=100)
+        for n_cal in (0, -1):
+            with pytest.raises(ValueError, match="n_cal must be at least 1"):
+                calibrate("ridge", 0.05, basis, n_cal=n_cal)
 
     def test_ridge_calibration_memory_budget(self):
         # Calibration rows are converted and projected in 1024-row blocks, so
@@ -450,9 +482,8 @@ class TestCalibrate:
     @pytest.mark.parametrize("n_cal", [1, 1023, 1025, 3000])
     def test_ridge_threshold_is_the_quantile_of_unpacked_distances(self, n, n_cal):
         x, basis = _setup(n, 10, 90)
-        stream = RngStream(91)
-        crit = calibrate("ridge", 0.05, basis, n_cal=n_cal, rng=stream)
-        rows = half_split_matrix(n, n_cal, stream.generator())
+        crit = calibrate("ridge", 0.05, basis, n_cal=n_cal)
+        rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM.generator())
         assert crit.threshold == float(np.quantile(batch_distances(crit, basis, rows), 0.05))
 
     def test_ridge_draw_is_reused(self):
@@ -485,12 +516,13 @@ class TestCalibrate:
         assert type(first[0].threshold) is float and type(values[0]) is float
 
     def test_ridge_stream_matches_generator_path(self):
+        # the threshold is the quantile over the calibration stream's rows,
+        # drawn afresh from its Generator and reduced by the public function
         x, basis = _setup(60, 6, 77)
-        for stream in (RngStream(78), _CALIBRATION_STREAM):
-            crit = calibrate("ridge", 0.05, basis, lam=0.1, n_cal=3000, rng=stream)
-            rows = half_split_matrix(60, 3000, stream.generator())
-            dists = batch_distances(crit, basis, rows)
-            assert crit.threshold == float(np.quantile(dists, 0.05))
+        crit = calibrate("ridge", 0.05, basis, lam=0.1, n_cal=3000)
+        rows = half_split_matrix(60, 3000, _CALIBRATION_STREAM.generator())
+        dists = batch_distances(crit, basis, rows)
+        assert crit.threshold == float(np.quantile(dists, 0.05))
 
     def test_ridge_draw_cache_memory(self):
         # one packed 10000-row entry per n: 10000 * ceil(n/8) bytes, 2.26 MB
@@ -526,11 +558,16 @@ class TestLambdaSelection:
 
     def test_beta_search_stays_on_grid(self):
         x, basis = _setup(40, 6, 51)
-        lam = choose_lambda(basis, 0.05, beta=np.ones(6), n_cal=2000, rng=RngStream(52))
+        lam = choose_lambda(basis, 0.05, beta=np.ones(6), n_cal=2000)
         assert lam > 0
         g = np.log10(lam / default_lambda(basis))
         assert abs(g - round(g)) < 1e-9
         assert -6 <= round(g) <= 6
+
+    def test_beta_search_needs_a_calibration_row(self):
+        x, basis = _setup(40, 6, 51)
+        with pytest.raises(ValueError, match="n_cal must be at least 1"):
+            choose_lambda(basis, 0.05, beta=np.ones(6), n_cal=0)
 
 
 class TestPredictReduction:
@@ -614,13 +651,12 @@ class TestPredictReduction:
         assert abs(rep.predicted_tau_var_reduction) < 1e-12
 
     def test_ridge_shrinkage_replays_the_calibration_sample(self):
-        # the shrinkage estimate scores the n_cal rows of the stream the
-        # threshold was calibrated on, not the default 10000-row sample
+        # the shrinkage estimate scores the n_cal rows the threshold was
+        # calibrated on, not the default 10000-row sample
         x, basis = _setup(200, 50, 83)
-        stream = RngStream(84)
-        crit = calibrate("ridge", 0.05, basis, n_cal=500, rng=stream)
-        assert (crit.n_cal, crit.cal_stream) == (500, stream)
-        rows = half_split_matrix(200, 500, stream.generator())
+        crit = calibrate("ridge", 0.05, basis, n_cal=500)
+        assert crit.n_cal == 500
+        rows = half_split_matrix(200, 500, _CALIBRATION_STREAM.generator())
         dists = batch_distances(crit, basis, rows)
         accepted = dists <= np.quantile(dists, 0.05)
         assert accepted.sum() == 25
@@ -633,9 +669,8 @@ class TestPredictReduction:
         # 2049 calibration rows make three blocks, the last a lone row; the
         # per-block sums give the variance ratio of the whole sample
         x, basis = _setup(62, 8, 96)
-        stream = RngStream(97)
-        crit = calibrate("ridge", 0.05, basis, n_cal=2049, rng=stream)
-        rows = half_split_matrix(62, 2049, stream.generator())
+        crit = calibrate("ridge", 0.05, basis, n_cal=2049)
+        rows = half_split_matrix(62, 2049, _CALIBRATION_STREAM.generator())
         accepted = batch_distances(crit, basis, rows) <= crit.threshold
         sq = (rows.astype(float) @ basis.u) ** 2
         want = sq[accepted].mean(axis=0) / sq.mean(axis=0)
@@ -645,16 +680,24 @@ class TestPredictReduction:
     def test_ridge_default_sample_is_recorded(self):
         x, basis = _setup(40, 5, 85)
         crit = calibrate("ridge", 0.05, basis)
-        assert (crit.n_cal, crit.cal_stream) == (10000, _CALIBRATION_STREAM)
+        assert crit.n_cal == 10000
         for scheme in ("cr", "rer"):
-            assert calibrate(scheme, 0.05, basis).cal_stream is None
+            assert calibrate(scheme, 0.05, basis).n_cal is None
 
-    def test_ridge_generator_sample_cannot_be_replayed(self):
-        x, basis = _setup(40, 5, 86)
-        crit = calibrate("ridge", 0.05, basis, n_cal=500, rng=np.random.default_rng(87))
-        assert crit.cal_stream is None
-        with pytest.raises(ValueError, match="Generator cannot be replayed"):
-            predict_reduction(crit, basis)
+    @pytest.mark.parametrize("scheme", ["rer", "pca"])
+    def test_degenerate_criterion_predicts_no_shrinkage(self, scheme):
+        # at rank n-1 the engine runs complete randomization, so v_a (0.286
+        # for rer on this design) is not the shrinkage of the accepted draws
+        x, basis = _setup(10, 20, 86)
+        assert basis.p == 9
+        with pytest.warns(UserWarning, match="degenerates"):
+            crit = calibrate(scheme, 0.05, basis, k=9)
+        assert crit.degenerate
+        rep = predict_reduction(crit, basis, beta=np.ones(20))
+        np.testing.assert_array_equal(rep.per_component_shrinkage, np.ones(9))
+        np.testing.assert_array_equal(rep.per_covariate_prv, np.zeros(20))
+        assert rep.predicted_tau_var_reduction == 0.0
+        assert rep.shrinkage_value is None
 
     def test_uncalibrated_rejected(self):
         x, basis = _setup(10, 3, 58)

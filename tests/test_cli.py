@@ -109,6 +109,18 @@ class TestAllocate:
         assert report["lambda"] == 0.5
         assert report["accepted"] is True
 
+    def test_degenerate_rule_reports_no_shrinkage(self, tmp_path, capsys):
+        # 10 units, 20 covariates: rank n-1, so rer accepts every draw and its
+        # chi-square v_a (0.286 here) is not the shrinkage of the allocation
+        cov = _cov_csv(tmp_path / "wide.csv", n=10, d=20)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="degenerates"):
+            assert main(["allocate", "--input", cov, "--scheme", "rer", "--seed", "7",
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["degenerate"] is True and report["draws_attempted"] == 1
+        assert report["v_ak"] is None
+
     def test_odd_n_needs_flag(self, tmp_path, capsys):
         cov = _cov_csv(tmp_path / "cov.csv", n=21)
         out = tmp_path / "run"

@@ -215,19 +215,17 @@ class TestHalfSplitMatrix:
     @example(n=400, count=2 * (_KEY_BLOCK // 400) + 3, seed=2)
     @example(n=1000, count=131, seed=3)
     def test_stream_form_equals_generator_form(self, n, count, seed):
+        # the stream form is np.packbits of the Generator rows, read-only
         stream = RngStream(seed, n)
-        expected = half_split_matrix(n, count, stream.generator())
+        want = np.packbits(half_split_matrix(n, count, stream.generator()), axis=1)
         for _ in range(2):  # a miss, then a hit
             got = half_split_matrix(n, count, stream)
-            assert got.dtype == np.int8 and got.shape == (count, n) and got.flags.writeable
-            assert got.tobytes() == expected.tobytes()
-
-    def test_stream_form_returns_fresh_arrays(self):
-        stream = RngStream(74)
-        first = half_split_matrix(33, 50, stream)
-        expected = first.copy()
-        first[:] = 7
-        np.testing.assert_array_equal(half_split_matrix(33, 50, stream), expected)
+            assert got.dtype == np.uint8 and got.shape == (count, -(-n // 8))
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            if count:
+                with pytest.raises(ValueError):
+                    got[0, 0] ^= 1
 
     def test_stream_cache_entry_is_read_only(self):
         packed = _stream_rows(33, 50, RngStream(75))
@@ -239,13 +237,10 @@ class TestHalfSplitMatrix:
     def test_packed_form_is_packbits_of_the_rows(self, n, count):
         stream = RngStream(88, n)
         want = np.packbits(half_split_matrix(n, count, stream.generator()), axis=1)
-        packed = half_split_matrix(n, count, stream, packed=True)
+        packed = half_split_matrix(n, count, stream)
         assert packed is _stream_rows(n, count, stream)  # the memo, not a copy
         assert packed.shape == (count, -(-n // 8)) and not packed.flags.writeable
         assert packed.tobytes() == want.tobytes()
-        fresh = half_split_matrix(n, count, stream.generator(), packed=True)
-        assert fresh.dtype == np.uint8 and fresh.flags.writeable
-        assert fresh.tobytes() == want.tobytes()
 
     def test_cold_stream_fill_memory(self):
         # The memo is filled one key block (65 rows at n = 1000) at a time, so

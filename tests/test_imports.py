@@ -1,8 +1,12 @@
-"""Every imported name is used: an AST scan of the package and the tests.
+"""Every imported name is used, and every private name of the package is
+loaded: AST scans of the package and the tests.
 
-The package's `__init__.py` is skipped, since its imports are the
-public re-exports. A name counts as used when it appears as a bare name
-anywhere in the module (an attribute chain `np.linalg.svd` uses `np`).
+The package's `__init__.py` is skipped by the import scan, since its
+imports are the public re-exports. A name counts as used when it appears
+as a bare name anywhere in the module (an attribute chain `np.linalg.svd`
+uses `np`). A module-level `_name` (function, class or constant) of the
+package counts as loaded when some package module reads it as a bare
+name; a use in the tests alone does not keep it.
 """
 
 import ast
@@ -31,6 +35,29 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _unloaded_private_names(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    loaded = {
+        node.id for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    defined = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[name.id] = node.lineno
+    return [
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -39,3 +66,17 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n"
     assert _unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+def test_every_private_name_is_loaded():
+    sources = [p.read_text() for p in sorted((_ROOT / "src" / "rerand").glob("*.py"))]
+    assert _unloaded_private_names(sources) == []
+
+
+def test_scan_flags_an_unloaded_private_name():
+    source = (
+        "_A, _B = 1, 2\n_C: int = 3\n\n\ndef _f():\n    return _A\n\n\n"
+        "class _K:\n    pass\n\n\ndef g():\n    _local = _f()\n    return _local\n"
+    )
+    other = "__all__ = ['g']\nprint(_C)\n"
+    assert _unloaded_private_names([source, other]) == ["_B (line 1)", "_K (line 9)"]

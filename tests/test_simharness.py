@@ -55,6 +55,11 @@ class TestFactorGrid:
             with pytest.raises(ValueError):
                 FactorGrid(**kwargs)
 
+    def test_ridge_needs_a_calibration_row(self):
+        # rejected at construction, not at the first ridge cell of a study
+        with pytest.raises(ValueError, match="n_cal must be at least 1"):
+            FactorGrid((20,), (3,), (0.5,), schemes=("ridge",), ridge_n_cal=0)
+
 
 class TestGenCovariates:
     def test_shape_and_standardization(self):
