@@ -95,6 +95,15 @@ class BalanceCriterion:
     note: str = ""
     n_cal: int | None = None
 
+    @property
+    def shrinkage(self) -> float | None:
+        """v_a = shrinkage_coeff(dof, threshold) of a "rer" or "pca" rule's
+        balanced components; None for "cr", "ridge" (whose shrinkage varies
+        by component) and a degenerate rule (run as complete randomization)."""
+        if self.dof is None or self.degenerate:
+            return None
+        return shrinkage_coeff(self.dof, self.threshold)
+
 
 @dataclass(frozen=True)
 class CovReductionReport:
@@ -420,7 +429,8 @@ def predict_reduction(
     """Predicted shrinkage per component, per covariate, and for tau_hat.
 
     For "pca" the component shrinkage is v_{a_k} on the first k components
-    and 1 elsewhere; for "rer" it is v_a everywhere; for "ridge" it is a
+    and 1 elsewhere; for "rer" it is v_a everywhere (either way the
+    report's shrinkage_value, criterion.shrinkage); for "ridge" it is a
     Monte Carlo estimate on the n_cal calibration rows the threshold was
     set on (see module docstring). It is all ones for "cr" and for a
     degenerate criterion, which the engine runs as complete
@@ -430,13 +440,12 @@ def predict_reduction(
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")
-    shrink_value: float | None = None
+    shrink_value = criterion.shrinkage
     if criterion.scheme == "ridge":
         shrink = _ridge_component_shrinkage(criterion, basis)
     else:
         shrink = np.ones(basis.p)
-        if criterion.scheme != "cr" and not criterion.degenerate:
-            shrink_value = shrinkage_coeff(criterion.dof, criterion.threshold)
+        if shrink_value is not None:
             shrink[: criterion.k] = shrink_value
 
     sig2 = basis.singular_values**2

@@ -7,14 +7,14 @@ statistical soft failure reported in the output, not an operator error),
 All randomness flows from --seed; without the flag a seed is drawn from
 system entropy and printed so the run can be reproduced. Output files
 contain no wall-clock values unless --timings is passed, so fixed-seed
-reruns are byte-identical.
+reruns are byte-identical. Every output file is written by core.write_csv
+or core.write_json, and every shrinkage value is read from the calibrated
+criterion (BalanceCriterion.shrinkage).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import secrets
 import sys
@@ -22,13 +22,13 @@ import sys
 from .balance import calibrate, predict_reduction
 from .core import (
     RngStream,
-    format_float,
     group_means,
     read_covariate_csv,
     standardize,
     write_allocation_csv,
+    write_csv,
+    write_json,
 )
-from .dist import chi2_quantile, shrinkage_coeff
 from .engine import DEFAULT_MAX_DRAWS, complete_randomization, rerandomize
 from .simharness import (
     FactorGrid,
@@ -78,9 +78,12 @@ diagnose writes into --out:
   spectrum.csv   component_index, sigma, explained_cumulative
   shrinkage.csv  k, a_k, v_ak, v_full, reduction_pct
                  (v_full is the full-rank coefficient at the same p_a;
-                 reduction_pct = 100 (1 - v_ak / v_full))
+                 reduction_pct = 100 (1 - v_ak / v_full). At rank n-1 the
+                 full-rank rule is degenerate: v_full and its v_ak are
+                 empty and reduction_pct is 100 (1 - v_ak), 0 at k = p)
   prv.csv        covariate_index, covariate, prv
   report.json    n, d, p, k_selected, gamma, p_a, a_k, v_ak, v_full
+                 (null where shrinkage.csv leaves the cell empty)
 All outputs are deterministic given --seed (synthetic input) or the
 input file.
 """
@@ -104,12 +107,6 @@ def _parse_lambda(text):
     if value < 0:
         raise ValueError("--lambda must be nonnegative")
     return value
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_allocate(args) -> int:
@@ -152,15 +149,11 @@ def _cmd_allocate(args) -> int:
 
     before = group_means(x, baseline).diff
     after = group_means(x, result.allocation).diff
-    with open(os.path.join(args.out, "diagnostics.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["covariate", "smd_before", "smd_after"])
-        for name, b, a in zip(names, before, after):
-            out.writerow([name, format_float(float(b)), format_float(float(a))])
+    write_csv(
+        os.path.join(args.out, "diagnostics.csv"),
+        ["covariate", "smd_before", "smd_after"], zip(names, before, after),
+    )
 
-    v_ak = None  # a degenerate rule runs as complete randomization: no shrinkage
-    if criterion.dof is not None and not criterion.degenerate:
-        v_ak = shrinkage_coeff(criterion.dof, criterion.threshold)
     payload = {
         "scheme": criterion.scheme,
         "n": x.n,
@@ -170,7 +163,7 @@ def _cmd_allocate(args) -> int:
         "lambda": criterion.lam,
         "k": criterion.k,
         "threshold": criterion.threshold,
-        "v_ak": v_ak,
+        "v_ak": criterion.shrinkage,
         "criterion_value": result.criterion_value,
         "draws_attempted": result.draws_attempted,
         "accepted": result.accepted,
@@ -181,7 +174,7 @@ def _cmd_allocate(args) -> int:
     }
     if args.timings:
         payload["elapsed_seconds"] = result.elapsed
-    _write_json(os.path.join(args.out, "report.json"), payload)
+    write_json(os.path.join(args.out, "report.json"), payload)
 
     status = "accepted" if result.accepted else "exhausted (best-so-far returned)"
     print(
@@ -311,44 +304,36 @@ def _cmd_diagnose(args) -> int:
     basis = decompose(x)
     sel = select_k(basis, args.gamma)
     os.makedirs(args.out, exist_ok=True)
+    write_csv(
+        os.path.join(args.out, "spectrum.csv"),
+        ["component_index", "sigma", "explained_cumulative"],
+        zip(range(1, basis.p + 1), basis.singular_values, sel.explained),
+    )
 
-    with open(os.path.join(args.out, "spectrum.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["component_index", "sigma", "explained_cumulative"])
-        for j in range(basis.p):
-            out.writerow([
-                j + 1,
-                format_float(float(basis.singular_values[j])),
-                format_float(float(sel.explained[j])),
-            ])
+    # At rank n-1 the full-rank rule runs as complete randomization: v_full is
+    # None and reductions are measured against complete randomization (v = 1).
+    rules = [calibrate("pca", args.pa, basis, k=k) for k in range(1, basis.p + 1)]
+    v_full = rules[-1].shrinkage
+    v_ref = 1.0 if v_full is None else v_full
+    rows = []
+    for k, rule in enumerate(rules, start=1):
+        v_k = rule.shrinkage
+        reduction_pct = 100.0 * (1.0 - (v_ref if v_k is None else v_k) / v_ref)
+        rows.append((k, rule.threshold, v_k, v_full, reduction_pct))
+    write_csv(
+        os.path.join(args.out, "shrinkage.csv"),
+        ["k", "a_k", "v_ak", "v_full", "reduction_pct"], rows,
+    )
 
-    a_full = chi2_quantile(basis.p, args.pa)
-    v_full = shrinkage_coeff(basis.p, a_full)
-    with open(os.path.join(args.out, "shrinkage.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "a_k", "v_ak", "v_full", "reduction_pct"])
-        for k in range(1, basis.p + 1):
-            a_k = chi2_quantile(k, args.pa)
-            v_k = shrinkage_coeff(k, a_k)
-            out.writerow([
-                k,
-                format_float(a_k),
-                format_float(v_k),
-                format_float(v_full),
-                format_float(100.0 * (1.0 - v_k / v_full)),
-            ])
-
-    criterion = calibrate("pca", args.pa, basis, k=sel.k)
+    criterion = rules[sel.k - 1]
     reduction = predict_reduction(criterion, basis)
-    with open(os.path.join(args.out, "prv.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["covariate_index", "covariate", "prv"])
-        for i, name in enumerate(names):
-            out.writerow([
-                i + 1, name, format_float(float(reduction.per_covariate_prv[i])),
-            ])
+    write_csv(
+        os.path.join(args.out, "prv.csv"),
+        ["covariate_index", "covariate", "prv"],
+        zip(range(1, x.d + 1), names, reduction.per_covariate_prv),
+    )
 
-    _write_json(
+    write_json(
         os.path.join(args.out, "report.json"),
         {
             "n": x.n,
@@ -358,7 +343,7 @@ def _cmd_diagnose(args) -> int:
             "gamma": args.gamma,
             "p_a": args.pa,
             "a_k": criterion.threshold,
-            "v_ak": reduction.shrinkage_value,
+            "v_ak": criterion.shrinkage,
             "v_full": v_full,
         },
     )

@@ -8,13 +8,16 @@ half_split_matrix draws fresh int8 rows from a numpy Generator. From a
 fixed RngStream it gives that stream's leading rows bit-packed (one bit
 per unit), as a read-only memo shared by every caller, so a caller that
 works one block of rows at a time unpacks only that block.
+
+write_csv and write_json are the only code in the package that writes an
+output file, so all outputs format floats, empty cells and JSON alike.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import math
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,17 +352,30 @@ def _first_bad_row(body: list[str], width: int) -> str:
 
 def write_allocation_csv(path, w: Allocation) -> None:
     """Write an allocation as unit_index,assignment rows."""
+    assignment = np.asarray(w.assignment, dtype=int).tolist()
+    write_csv(path, ["unit_index", "assignment"], enumerate(assignment))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one output CSV: the header row, then one line per row.
+
+    None is an empty cell. Float cells, numpy floats too, are written by
+    repr(float(v)), so they read back as the same double (nan, inf and -inf
+    as those words), where the csv module would write "np.float64(...)".
+    Other cells, such as ints and strings, go to the csv module as they are.
+    """
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(["unit_index", "assignment"])
-        for i, a in enumerate(np.asarray(w.assignment, dtype=int)):
-            out.writerow([i, int(a)])
+        out.writerow(header)
+        out.writerows(
+            ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in row]
+            for row in rows
+        )
 
 
-def format_float(v: float) -> str:
-    """Stable float formatting for deterministic file output."""
-    if v != v:
-        return "nan"
-    if v in (math.inf, -math.inf):
-        return "inf" if v > 0 else "-inf"
-    return repr(float(v))
+def write_json(path, payload) -> None:
+    """Write one output JSON file: sorted keys, 2-space indent, None as
+    null, and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -16,10 +16,8 @@ as its residual.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import combinations
 from typing import NamedTuple
 
@@ -32,12 +30,12 @@ from .core import (
     Outcome,
     RngStream,
     as_generator,
-    format_float,
     group_means,
     sate_estimator,
     standardize,
+    write_csv,
+    write_json,
 )
-from .dist import shrinkage_coeff
 from .engine import DEFAULT_MAX_DRAWS, rerandomize
 from .spectral import decompose, select_k
 
@@ -307,8 +305,9 @@ def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> l
             cell.exhausted[si] = scheme != "cr" and not res.accepted
             cell.draws[si] = res.draws_attempted
             cell.diff[si] = group_means(x, w).diff
-            if crit.dof is not None and not crit.degenerate:
-                cell.v_ak[si] = shrinkage_coeff(crit.dof, crit.threshold)
+            v_ak = crit.shrinkage
+            if v_ak is not None:
+                cell.v_ak[si] = v_ak
             treat = grid.tau * np.asarray(w.assignment, dtype=float)
             for mi, (surf, bc, rv) in enumerate(models):
                 y = Outcome(signal[(surf, bc)] + treat + np.sqrt(rv) * noise[:n])
@@ -460,85 +459,32 @@ def anova(report: SimReport, response: str) -> list[AnovaRow]:
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
-# (output name, CellRecord attribute) of each deterministic record field,
-# in metrics.csv column order; summary.json records use the same names.
-_RECORD_FIELDS = (
-    ("n", "n"), ("d", "d"), ("rho", "rho"), ("surface", "surface"),
-    ("beta", "beta_choice"), ("resid_var", "resid_var"), ("scheme", "scheme"),
-    ("r_sigma_bar_sq", "r_sigma_bar_sq"), ("r_mse", "r_mse"),
-    ("k_selected", "k_selected"), ("k_mean", "k_mean"), ("v_ak", "v_ak"),
-    ("exhausted", "exhausted"), ("mean_draws", "mean_draws"),
-    ("accept_rate", "accept_rate"),
-)
-
-
-def _record_fields(r: CellRecord) -> dict:
-    return {name: getattr(r, attr) for name, attr in _RECORD_FIELDS}
+# Output names of the record fields, in CellRecord's field order: the
+# metrics.csv columns and the summary.json record keys.
+_RECORD_NAMES = ["beta" if f.name == "beta_choice" else f.name for f in fields(CellRecord)]
 
 
 def write_metrics_csv(report: SimReport, path) -> None:
     """Per-record metrics table. Timing is deliberately not included
     here (it is not reproducible byte for byte); see write_timings_csv."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow([name for name, _ in _RECORD_FIELDS])
-        for r in report.records:
-            out.writerow([_fmt(v) for v in _record_fields(r).values()])
+    write_csv(path, _RECORD_NAMES, map(astuple, report.records))
 
 
 def write_anova_csv(rows: list[AnovaRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["term", "df", "sum_sq", "mean_sq", "f_ratio"])
-        for row in rows:
-            out.writerow([
-                row.term, row.df, _fmt(row.sum_sq), _fmt(row.mean_sq),
-                _fmt(row.f_ratio),
-            ])
+    write_csv(path, ["term", "df", "sum_sq", "mean_sq", "f_ratio"], map(astuple, rows))
 
 
 def write_timings_csv(report: SimReport, path) -> None:
     """Wall-clock summaries per cell and scheme. Values vary run to run;
     this file is opt-in at the CLI so default outputs stay deterministic."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["n", "d", "rho", "scheme", "mean_seconds", "median_seconds"])
-        for (n, d, rho, scheme), (mean_s, med_s) in sorted(report.timings.items()):
-            out.writerow([n, d, _fmt(rho), scheme, _fmt(mean_s), _fmt(med_s)])
+    header = ["n", "d", "rho", "scheme", "mean_seconds", "median_seconds"]
+    write_csv(path, header, (key + value for key, value in sorted(report.timings.items())))
 
 
 def write_summary_json(report: SimReport, path) -> None:
-    """Machine-readable study summary (deterministic fields only)."""
-    grid = report.grid
-    payload = {
-        "master_seed": report.master_seed,
-        "grid": {
-            "n_levels": list(grid.n_levels),
-            "d_levels": list(grid.d_levels),
-            "rho_levels": list(grid.rho_levels),
-            "schemes": list(grid.schemes),
-            "surfaces": list(grid.surfaces),
-            "beta_choices": list(grid.beta_choices),
-            "resid_vars": list(grid.resid_vars),
-            "replications": grid.replications,
-            "groups": grid.groups,
-            "p_a": grid.p_a,
-            "gamma": grid.gamma,
-            "lambda": grid.lam,
-            "tau": grid.tau,
-            "max_draws": grid.max_draws,
-            "ridge_n_cal": grid.ridge_n_cal,
-        },
-        "records": [_record_fields(r) for r in report.records],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Machine-readable study summary (deterministic fields only). The grid
+    block holds every FactorGrid field, `lam` under the key "lambda"."""
+    grid = asdict(report.grid)
+    grid["lambda"] = grid.pop("lam")
+    records = [dict(zip(_RECORD_NAMES, astuple(r))) for r in report.records]
+    write_json(path, {"master_seed": report.master_seed, "grid": grid, "records": records})

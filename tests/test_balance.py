@@ -386,17 +386,20 @@ class TestCalibrate:
         assert crit.dof == basis.p == 7
         assert crit.threshold == pytest.approx(chi2_quantile(7, 0.05), rel=1e-12)
         assert not crit.degenerate
+        assert crit.shrinkage == shrinkage_coeff(7, crit.threshold)
 
     def test_pca_threshold_is_chi2_quantile(self):
         x, basis = _setup(50, 7, 41)
         crit = calibrate("pca", 0.1, basis, k=3)
         assert crit.k == 3 and crit.dof == 3
         assert crit.threshold == pytest.approx(chi2_quantile(3, 0.1), rel=1e-12)
+        assert crit.shrinkage == shrinkage_coeff(3, crit.threshold)
 
     def test_cr_has_no_threshold(self):
         x, basis = _setup(10, 2, 42)
         crit = calibrate("cr", 0.05, basis)
         assert crit.threshold is None and crit.scheme == "cr"
+        assert crit.shrinkage is None
 
     def test_truncated_threshold_below_full(self):
         # fewer degrees of freedom pull the acceptance cutoff down
@@ -418,6 +421,7 @@ class TestCalibrate:
         a = calibrate("ridge", 0.05, basis, lam=0.1)
         b = calibrate("ridge", 0.05, basis, lam=0.1)
         assert a.threshold == b.threshold
+        assert a.shrinkage is None  # ridge shrinkage varies by component
         fresh = half_split_matrix(60, 10000, RngStream(46).generator())
         frac = float((batch_distances(a, basis, fresh) <= a.threshold).mean())
         assert abs(frac - 0.05) < 0.02
@@ -431,6 +435,7 @@ class TestCalibrate:
         with pytest.warns(UserWarning):
             crit_k = calibrate("pca", 0.05, basis, k=3)
         assert crit_k.degenerate
+        assert crit.shrinkage is None and crit_k.shrinkage is None
 
     def test_errors(self):
         x, basis = _setup(10, 3, 48)
@@ -586,6 +591,7 @@ class TestPredictReduction:
         # equal shrinkage on every component rotates to equal covariate prv
         np.testing.assert_allclose(rep.per_covariate_prv, 1.0 - v_a, rtol=1e-10)
         assert rep.shrinkage_value == pytest.approx(v_a, rel=1e-12)
+        assert rep.shrinkage_value == crit.shrinkage
 
     def test_pca_shrinks_leading_block_only(self):
         x, basis = _setup(30, 5, 55)
@@ -596,6 +602,7 @@ class TestPredictReduction:
         np.testing.assert_array_equal(rep.per_component_shrinkage[2:], 1.0)
         assert np.all(rep.per_covariate_prv >= -1e-12)
         assert np.all(rep.per_covariate_prv <= 1.0 - v_ak + 1e-12)
+        assert rep.shrinkage_value == crit.shrinkage == v_ak
 
     def test_ridge_shrinkage_bounds(self):
         x, basis = _setup(30, 5, 56)
@@ -603,6 +610,7 @@ class TestPredictReduction:
         rep = predict_reduction(crit, basis)
         assert np.all(rep.per_component_shrinkage > 0)
         assert np.all(rep.per_component_shrinkage <= 1.0)
+        assert rep.shrinkage_value is None and crit.shrinkage is None
 
     def test_tau_var_reduction_formula(self):
         x, basis = _setup(30, 5, 57)
@@ -692,7 +700,7 @@ class TestPredictReduction:
         assert basis.p == 9
         with pytest.warns(UserWarning, match="degenerates"):
             crit = calibrate(scheme, 0.05, basis, k=9)
-        assert crit.degenerate
+        assert crit.degenerate and crit.shrinkage is None
         rep = predict_reduction(crit, basis, beta=np.ones(20))
         np.testing.assert_array_equal(rep.per_component_shrinkage, np.ones(9))
         np.testing.assert_array_equal(rep.per_covariate_prv, np.zeros(20))

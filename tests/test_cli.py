@@ -325,6 +325,23 @@ class TestDiagnose:
         assert float(last[2]) == pytest.approx(float(last[3]), rel=1e-12)
         assert float(last[4]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_degenerate_full_rank_rule(self, tmp_path):
+        # 10 units and 20 covariates give p = 9 = n-1: the full-rank rule runs
+        # as complete randomization, so it shrinks nothing and the reductions
+        # are measured against complete randomization
+        cov = _cov_csv(tmp_path / "cov.csv", n=10, d=20, seed=6)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="degenerates to complete randomization"):
+            assert main(["diagnose", "--input", cov, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["p"] == 9 and report["v_full"] is None
+        rows = _read(out / "shrinkage.csv")[1:]
+        assert [int(r[0]) for r in rows] == list(range(1, 10))
+        assert all(r[3] == "" for r in rows)
+        assert rows[-1][2] == "" and rows[-1][4] == "0.0"
+        for r in rows[:-1]:
+            assert float(r[4]) == 100.0 * (1.0 - float(r[2]))
+
     def test_prv_from_input_file(self, tmp_path):
         cov = _cov_csv(tmp_path / "cov.csv", n=30, d=4, seed=5)
         out = tmp_path / "run"

@@ -25,6 +25,8 @@ from rerand.core import (
     standardize,
     _stream_rows,
     write_allocation_csv,
+    write_csv,
+    write_json,
 )
 
 
@@ -421,3 +423,34 @@ class TestCsv:
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["unit_index", "assignment"]
         assert rows[1:] == [["0", "1"], ["1", "0"], ["2", "0"], ["3", "1"]]
+
+
+class TestWriters:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = [
+            (None, math.nan, math.inf),
+            (-math.inf, np.float64(0.1 + 0.2), 0.5),
+            (7, np.int64(-3), np.int8(4)),
+            ("x,y", "plain", None),
+        ]
+        write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_bytes() == (
+            b"a,b,c\r\n"
+            b",nan,inf\r\n"
+            b"-inf,0.30000000000000004,0.5\r\n"
+            b"7,-3,4\r\n"
+            b'"x,y",plain,\r\n'
+        )
+        with open(path, newline="") as fh:
+            back = list(csv.reader(fh))
+        assert float(back[2][1]) == 0.1 + 0.2
+        assert back[4] == ["x,y", "plain", ""]
+
+    def test_json_layout(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"b": None, "a": [1, np.float64(2.5)], "c": {"z": 1, "y": "s"}})
+        assert path.read_text() == (
+            '{\n  "a": [\n    1,\n    2.5\n  ],\n  "b": null,\n'
+            '  "c": {\n    "y": "s",\n    "z": 1\n  }\n}\n'
+        )

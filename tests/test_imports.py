@@ -7,6 +7,11 @@ as a bare name anywhere in the module (an attribute chain `np.linalg.svd`
 uses `np`). A module-level `_name` (function, class or constant) of the
 package counts as loaded when some package module reads it as a bare
 name; a use in the tests alone does not keep it.
+
+Each decision has one owning module: only `core` imports `csv` or `json`
+(it holds the one reader and the one pair of output writers), and only
+`balance` imports from `dist` (thresholds and shrinkage come from the
+calibrated criterion), apart from the public re-exports in `__init__`.
 """
 
 import ast
@@ -58,6 +63,34 @@ def _unloaded_private_names(sources: list[str]) -> list[str]:
     ]
 
 
+# Imported module -> the package modules allowed to import it.
+_IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance", "__init__"}}
+
+
+def _foreign_imports(modules: dict[str, str]) -> list[str]:
+    """Imports of an owned module (see _IMPORT_OWNERS) by any other package
+    module; `modules` maps module names to their source."""
+    found = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                names = ["." + alias.name for alias in node.names]  # from . import x
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + node.module]
+            else:
+                continue
+            for name in names:
+                if name.startswith("rerand."):
+                    name = name[len("rerand"):]  # rerand.dist is .dist
+                elif not name.startswith("."):
+                    name = name.split(".")[0]  # os.path is os
+                if name in _IMPORT_OWNERS and module not in _IMPORT_OWNERS[name]:
+                    found.append(f"{module} imports {name} (line {node.lineno})")
+    return found
+
+
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
@@ -80,3 +113,25 @@ def test_scan_flags_an_unloaded_private_name():
     )
     other = "__all__ = ['g']\nprint(_C)\n"
     assert _unloaded_private_names([source, other]) == ["_B (line 1)", "_K (line 9)"]
+
+
+def test_only_owners_import_output_libraries_and_dist():
+    modules = {p.stem: p.read_text() for p in sorted((_ROOT / "src" / "rerand").glob("*.py"))}
+    assert _foreign_imports(modules) == []
+
+
+def test_scan_flags_a_foreign_import():
+    modules = {
+        "core": "import csv\nimport json\n",
+        "balance": "from .dist import chi2_quantile\n",
+        "__init__": "from .dist import chi2_cdf\n",
+        "cli": "import json\nfrom csv import writer\nfrom . import dist\n",
+        "engine": "import numpy as np\nfrom rerand.dist import shrinkage_coeff\n",
+        "spectral": "import os.path\nfrom .core import standardize\n",
+    }
+    assert _foreign_imports(modules) == [
+        "cli imports json (line 1)",
+        "cli imports csv (line 2)",
+        "cli imports .dist (line 3)",
+        "engine imports .dist (line 2)",
+    ]

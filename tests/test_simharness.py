@@ -445,8 +445,12 @@ class TestWriters:
         write_metrics_csv(report, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:4] == ["n", "d", "rho", "surface"]
-        assert "mean_seconds" not in rows[0]
+        # the columns follow CellRecord's fields, beta_choice written as beta
+        assert rows[0] == [
+            "n", "d", "rho", "surface", "beta", "resid_var", "scheme",
+            "r_sigma_bar_sq", "r_mse", "k_selected", "k_mean", "v_ak",
+            "exhausted", "mean_draws", "accept_rate",
+        ]
         assert len(rows) == 1 + len(report.records)
 
     def test_anova_csv(self, tmp_path):
@@ -472,9 +476,12 @@ class TestWriters:
         path = tmp_path / "summary.json"
         write_summary_json(SimReport(grid=grid, master_seed=0, records=[]), path)
         block = json.loads(path.read_text())["grid"]
-        fields = {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(FactorGrid)}
-        assert set(block) == fields
+        names = {f.name: "lambda" if f.name == "lam" else f.name for f in dataclasses.fields(FactorGrid)}
+        assert sorted(block) == sorted(names.values())
         assert block["ridge_n_cal"] == 500
+        for name, key in names.items():
+            value = getattr(grid, name)
+            assert block[key] == (list(value) if isinstance(value, tuple) else value)
 
     def test_summary_json_deterministic(self, tmp_path):
         grid = _small_grid(replications=8, groups=2)
