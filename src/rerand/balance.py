@@ -391,6 +391,11 @@ def calibrate(
     return crit
 
 
+class DegenerateRuleWarning(UserWarning):
+    """A calibrated rule cannot discriminate between equal splits, so its
+    scheme runs as complete randomization (the criterion's `note`)."""
+
+
 def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
     const = n - 1
     side = "below" if crit.threshold < const else "at or above"
@@ -399,7 +404,7 @@ def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
         f"threshold {crit.threshold:.4f} is {side} it, so the rule cannot "
         "discriminate and the scheme degenerates to complete randomization"
     )
-    warnings.warn(note, UserWarning, stacklevel=3)
+    warnings.warn(note, DegenerateRuleWarning, stacklevel=3)
     return replace(crit, degenerate=True, note=note)
 
 

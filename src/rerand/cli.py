@@ -9,17 +9,21 @@ system entropy and printed so the run can be reproduced. Output files
 contain no wall-clock values unless --timings is passed, so fixed-seed
 reruns are byte-identical. Every output file is written by core.write_csv
 or core.write_json, and every shrinkage value is read from the calibrated
-criterion (BalanceCriterion.shrinkage).
+criterion (BalanceCriterion.shrinkage). A degenerate balance rule is
+reported once per distinct message as a `note:` line on stderr, not as a
+Python warning.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import secrets
 import sys
+import warnings
 
-from .balance import calibrate, predict_reduction
+from .balance import DegenerateRuleWarning, calibrate, predict_reduction
 from .core import (
     RngStream,
     group_means,
@@ -118,6 +122,7 @@ def _cmd_allocate(args) -> int:
     seed = _resolve_seed(args)
     names, raw = read_covariate_csv(args.input)
     x = standardize(raw)
+    del raw  # only the standardized copy is read from here on
     if x.n % 2 == 1 and not args.near_equal:
         raise ValueError("odd number of units; pass --near-equal to allow")
 
@@ -294,6 +299,7 @@ def _cmd_diagnose(args) -> int:
     if args.input:
         names, raw = read_covariate_csv(args.input)
         x = standardize(raw)
+        del raw  # only the standardized copy is read from here on
     else:
         if args.n is None or args.d is None or args.rho is None:
             raise ValueError("diagnose needs --input or all of --n, --d, --rho")
@@ -402,11 +408,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _degenerate_rules_as_notes():
+    """Show each distinct DegenerateRuleWarning once, as a plain `note:` line
+    on stderr: it describes the operator's design, not a fault of the
+    program. Every other warning is shown as usual."""
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DegenerateRuleWarning)
+        show = warnings.showwarning
+
+        def show_note(message, category, *args, **kwargs):
+            if not issubclass(category, DegenerateRuleWarning):
+                show(message, category, *args, **kwargs)
+            elif str(message) not in seen:
+                seen.add(str(message))
+                print(f"note: {message}", file=sys.stderr)
+
+        warnings.showwarning = show_note
+        yield
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _degenerate_rules_as_notes():
+            return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -232,6 +233,9 @@ def standardize(raw) -> CovariateMatrix:
     cov(X) = X'X/(n-1). Columns with (near-)zero sd are centered only and
     flagged in `constant_columns`.
 
+    Holds about one design-sized array beyond `raw` at any time: the
+    returned values, centered and then scaled in place.
+
     Args:
         raw: n x d array-like, n >= 2, finite entries.
 
@@ -247,7 +251,8 @@ def standardize(raw) -> CovariateMatrix:
     sds = a.std(axis=0, ddof=1)
     constant = sds <= _CONSTANT_SD_TOL * np.maximum(1.0, np.abs(means))
     safe = np.where(constant, 1.0, sds)
-    vals = (a - means) / safe
+    vals = a - means
+    vals /= safe
     vals[:, constant] = 0.0
     return CovariateMatrix(
         values=vals,
@@ -301,42 +306,58 @@ def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
     Cells are plain decimal or scientific numbers, optionally quoted and
     padded with whitespace; at least two data rows (units) are needed, as
     for standardize. Blank lines, comments and `_` digit separators
-    are rejected. The data lines are parsed by numpy's C reader, which
-    rounds correctly, so every cell gives the same double as float().
-    Errors name the path and the 1-based file row.
+    are rejected. The data lines are streamed from the open file into
+    numpy's C reader, which rounds correctly, so every cell gives the same
+    double as float(), and reading holds about one copy of the design: the
+    parsed array, never the file's text. Only a failed parse reads the file
+    again, to name the bad row. Errors name the path and the 1-based file
+    row.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    names = next(csv.reader(lines[:1]), [])
-    body = lines[1:]
-    a = None
-    if body and "" not in body:  # loadtxt would skip blank lines, not reject them
-        try:
-            a = np.loadtxt(
-                body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
-            )
-        except ValueError:
-            pass
-    # loadtxt checks the widths of data rows only against each other.
-    if body and (a is None or a.shape != (len(body), len(names))):
-        raise ValueError(f"{path}: {_first_bad_row(body, len(names))}")
-    if len(body) < 2:  # a bad row is the more useful error, so it comes first
+    names, rows = [], 0
+
+    def data_lines(fh):
+        nonlocal rows
+        for line in fh:
+            rows += 1
+            if line == "\n":  # loadtxt would skip a blank line, not reject it
+                raise ValueError("blank line")
+            yield line
+
+    try:
+        with open(path) as fh:
+            names = next(csv.reader([fh.readline().removesuffix("\n")]), [])
+            lines = data_lines(fh)
+            first = next(lines, None)
+            if first is not None:  # loadtxt warns on an empty input
+                a = np.loadtxt(
+                    itertools.chain([first], lines), delimiter=",", quotechar='"',
+                    comments=None, ndmin=2, dtype=float,
+                )
+                # loadtxt checks the widths of data rows only against each other.
+                if a.shape != (rows, len(names)):
+                    raise ValueError("data rows disagree with the header")
+    except ValueError:  # a bad, blank or ragged row, or text that does not decode
+        raise ValueError(f"{path}: {_first_bad_row(path, len(names))}") from None
+    if rows < 2:  # a bad row is the more useful error, so it comes first
         raise ValueError(f"{path}: need a header row and at least two units")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{path}: non-finite value")
     return names, a
 
 
-def _first_bad_row(body: list[str], width: int) -> str:
+def _first_bad_row(path, width: int) -> str:
     """Word the error for data lines that the C parse rejected.
 
-    Only error reporting runs this per-cell loop. Cells that float() takes
-    but the C parser does not (`_` separators, non-ASCII digits) count as
-    non-numeric here too.
+    Only error reporting reads the file a second time, as one text (so a
+    decoding error names its offset in the file), and runs this per-cell
+    loop. Cells that float() takes but the C parser does not (`_`
+    separators, non-ASCII digits) count as non-numeric here too.
     """
-    for i, line in enumerate(body, start=2):
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for i, line in enumerate(lines[1:], start=2):
         row = next(csv.reader([line]), [])
         if len(row) != width:
             return f"row {i} has {len(row)} cells, expected {width}"

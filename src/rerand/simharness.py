@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -459,15 +460,18 @@ def anova(report: SimReport, response: str) -> list[AnovaRow]:
     return rows
 
 
-# Output names of the record fields, in CellRecord's field order: the
-# metrics.csv columns and the summary.json record keys.
-_RECORD_NAMES = ["beta" if f.name == "beta_choice" else f.name for f in fields(CellRecord)]
+# CellRecord's fields in order. Their output names are the metrics.csv
+# columns and the summary.json record keys; _record_values gives a record's
+# values as a shallow tuple (astuple would deep-copy every field).
+_RECORD_FIELDS = [f.name for f in fields(CellRecord)]
+_RECORD_NAMES = ["beta" if name == "beta_choice" else name for name in _RECORD_FIELDS]
+_record_values = attrgetter(*_RECORD_FIELDS)
 
 
 def write_metrics_csv(report: SimReport, path) -> None:
     """Per-record metrics table. Timing is deliberately not included
     here (it is not reproducible byte for byte); see write_timings_csv."""
-    write_csv(path, _RECORD_NAMES, map(astuple, report.records))
+    write_csv(path, _RECORD_NAMES, map(_record_values, report.records))
 
 
 def write_anova_csv(rows: list[AnovaRow], path) -> None:
@@ -486,5 +490,5 @@ def write_summary_json(report: SimReport, path) -> None:
     block holds every FactorGrid field, `lam` under the key "lambda"."""
     grid = asdict(report.grid)
     grid["lambda"] = grid.pop("lam")
-    records = [dict(zip(_RECORD_NAMES, astuple(r))) for r in report.records]
+    records = [dict(zip(_RECORD_NAMES, _record_values(r))) for r in report.records]
     write_json(path, {"master_seed": report.master_seed, "grid": grid, "records": records})

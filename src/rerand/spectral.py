@@ -73,14 +73,16 @@ def decompose(x: CovariateMatrix, rank_tol: float | None = None) -> SpectralBasi
     p = int(np.sum(s > rank_tol * s[0]))
     if p == 0:
         raise ValueError("no singular values above tolerance")
-    u, s, v = u[:, :p], s[:p], vt[:p].T
+    # A truncated u is copied, so that u stays C-contiguous as LAPACK gave it.
+    u, s, v = np.ascontiguousarray(u[:, :p]), s[:p], vt[:p].T
 
-    # Sign convention: dominant entry of each right singular vector positive.
+    # Sign convention: dominant entry of each right singular vector positive,
+    # applied in place to the factors the SVD returned.
     dominant = np.argmax(np.abs(v), axis=0)
     signs = np.sign(v[dominant, np.arange(p)])
     signs[signs == 0] = 1.0
-    v = v * signs
-    u = u * signs
+    v *= signs
+    u *= signs
 
     return SpectralBasis(u=u, singular_values=s, v=v, p=p)
 

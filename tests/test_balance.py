@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rerand.balance import (
     _CALIBRATION_STREAM,
     BalanceCriterion,
+    DegenerateRuleWarning,
     _batch_distances,
     _ridge_weights,
     _terms,
@@ -698,7 +699,7 @@ class TestPredictReduction:
         # for rer on this design) is not the shrinkage of the accepted draws
         x, basis = _setup(10, 20, 86)
         assert basis.p == 9
-        with pytest.warns(UserWarning, match="degenerates"):
+        with pytest.warns(DegenerateRuleWarning, match="degenerates"):
             crit = calibrate(scheme, 0.05, basis, k=9)
         assert crit.degenerate and crit.shrinkage is None
         rep = predict_reduction(crit, basis, beta=np.ones(20))

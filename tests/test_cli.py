@@ -109,17 +109,19 @@ class TestAllocate:
         assert report["lambda"] == 0.5
         assert report["accepted"] is True
 
-    def test_degenerate_rule_reports_no_shrinkage(self, tmp_path, capsys):
+    def test_degenerate_rule_reports_no_shrinkage(self, tmp_path, capfd):
         # 10 units, 20 covariates: rank n-1, so rer accepts every draw and its
         # chi-square v_a (0.286 here) is not the shrinkage of the allocation
         cov = _cov_csv(tmp_path / "wide.csv", n=10, d=20)
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="degenerates"):
-            assert main(["allocate", "--input", cov, "--scheme", "rer", "--seed", "7",
-                         "--out", str(out)]) == 0
+        assert main(["allocate", "--input", cov, "--scheme", "rer", "--seed", "7",
+                     "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["degenerate"] is True and report["draws_attempted"] == 1
         assert report["v_ak"] is None
+        # an operator message on stderr: no source path, no code line
+        assert "degenerates" in report["note"]
+        assert capfd.readouterr().err == f"note: {report['note']}\n"
 
     def test_odd_n_needs_flag(self, tmp_path, capsys):
         cov = _cov_csv(tmp_path / "cov.csv", n=21)
@@ -195,6 +197,18 @@ class TestSimulate:
         assert main(["simulate", "--schema"]) == 0
         schema = capsys.readouterr().out.split("summary.json", 1)[0]
         assert set(metrics[0]) <= set(re.findall(r"\w+", schema))
+
+    def test_degenerate_cell_prints_one_note(self, tmp_path, capfd):
+        # every replication of the n = 10, d = 12 cell has rank n-1, so each
+        # calibrates a degenerate rer rule with the same message
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("n = 10\nd = 12\nrho = 0.5\nschemes = rer\nreplications = 4\n"
+                       "groups = 2\nseed = 3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        err = capfd.readouterr().err
+        assert err.startswith("note: distance is the constant n-1 = 9 ")
+        assert err.endswith("degenerates to complete randomization\n")
+        assert err.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _config(tmp_path / "study.cfg")
@@ -325,14 +339,17 @@ class TestDiagnose:
         assert float(last[2]) == pytest.approx(float(last[3]), rel=1e-12)
         assert float(last[4]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_degenerate_full_rank_rule(self, tmp_path):
+    def test_degenerate_full_rank_rule(self, tmp_path, capfd):
         # 10 units and 20 covariates give p = 9 = n-1: the full-rank rule runs
         # as complete randomization, so it shrinks nothing and the reductions
         # are measured against complete randomization
         cov = _cov_csv(tmp_path / "cov.csv", n=10, d=20, seed=6)
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="degenerates to complete randomization"):
-            assert main(["diagnose", "--input", cov, "--out", str(out)]) == 0
+        assert main(["diagnose", "--input", cov, "--out", str(out)]) == 0
+        err = capfd.readouterr().err
+        assert err.startswith("note: distance is the constant n-1 = 9 ")
+        assert err.endswith("degenerates to complete randomization\n")
+        assert err.count("\n") == 1
         report = json.loads((out / "report.json").read_text())
         assert report["p"] == 9 and report["v_full"] is None
         rows = _read(out / "shrinkage.csv")[1:]

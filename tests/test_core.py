@@ -77,6 +77,22 @@ class TestStandardize:
         assert (x.n, x.d) == (4, 3)
         assert x.standardized
 
+    def test_one_design_sized_temporary(self):
+        # the returned values are the one design-sized array made; centering
+        # into a second temporary before dividing would double the peak
+        raw = np.random.default_rng(3).standard_normal((2000, 100))
+        standardize(raw[:4])  # lazy imports out of the count
+        tracemalloc.start()
+        try:
+            x = standardize(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * raw.nbytes
+        # the same bits as dividing a centered copy
+        means, sds = raw.mean(axis=0), raw.std(axis=0, ddof=1)
+        assert x.values.tobytes() == ((raw - means) / sds).tobytes()
+
 
 class TestGroupMeans:
     def test_hand_example(self):
@@ -345,16 +361,23 @@ class TestCsv:
         self._rejects(tmp_path, "a,b\n1,#2\n", "non-numeric", "row 2")
         self._rejects(tmp_path, "a,b\n1,2\n# note\n", "row 3")
 
+    # 1000 good data rows: the file rows 2 to 1001
+    _LONG = "a,b\n" + "1.5,-2e3\n" * 1000
+
     def test_blank_lines_rejected(self, tmp_path):
         self._rejects(tmp_path, "a\n1\n\n2\n", "row 3")
         self._rejects(tmp_path, "a\n1\n2\n\n", "row 4")
         self._rejects(tmp_path, "a,b\n1,2\n\n", "row 3")
         self._rejects(tmp_path, "a\n\n", "row 2")
+        self._rejects(tmp_path, self._LONG + "\n3,4\n", "row 1002 has 0 cells")
+        self._rejects(tmp_path, self._LONG + "\n", "row 1002 has 0 cells")
 
     def test_ragged_and_non_numeric_rows_named(self, tmp_path):
         self._rejects(tmp_path, "a,b\n1,2\n3\n", "row 3", "1 cells, expected 2")
         self._rejects(tmp_path, "a,b\n1,2\n3,4,5\n", "row 3", "3 cells, expected 2")
         self._rejects(tmp_path, "a,b\n1,2\n3,4\n5,x\n", "non-numeric", "row 4")
+        self._rejects(tmp_path, self._LONG + "3,4,5\n6,7\n", "row 1002 has 3 cells, expected 2")
+        self._rejects(tmp_path, self._LONG + "3,4\n5,x\n", "non-numeric cell in row 1003:")
 
     def test_header_width_must_match_data(self, tmp_path):
         self._rejects(tmp_path, "a,b,c\n1,2\n3,4\n", "row 2", "2 cells, expected 3")
@@ -375,6 +398,22 @@ class TestCsv:
         # float() takes "1_000"; the reader does not (see README, allocate)
         self._rejects(tmp_path, "a,b\n1,2\n1_000,3\n", "non-numeric", "row 3")
         self._rejects(tmp_path, "a\n1\n\u0661\n", "non-numeric", "row 3")
+
+    def test_read_holds_about_one_copy_of_the_design(self, tmp_path):
+        # the lines are streamed into the parser: neither the file's text
+        # (4 MB here, 2.5 times the array) nor a list of its lines is held
+        values = np.random.default_rng(4).standard_normal((2000, 100))
+        path = tmp_path / "design.csv"
+        self._write_cells(path, [[repr(float(v)) for v in row] for row in values])
+        self._read(tmp_path, "a\n1\n2\n")  # lazy imports out of the count
+        tracemalloc.start()
+        try:
+            got = read_covariate_csv(path)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+        assert peak <= 1.5 * values.nbytes + 2**20
 
     @staticmethod
     def _write_cells(path, cells):

@@ -77,6 +77,26 @@ class TestDecompose:
         dominant = np.argmax(np.abs(b1.v), axis=0)
         assert np.all(b1.v[dominant, np.arange(b1.p)] > 0)
 
+    @pytest.mark.parametrize("n, d, rank", [(30, 6, 6), (6, 30, 5), (30, 6, 4)])
+    def test_layout_and_bits_of_the_sign_fix(self, n, d, rank):
+        # full rank, rank n-1 (centered wide), and truncated: u is C- and v
+        # F-contiguous, owning only its p columns, with the bits of the
+        # out-of-place sign fix (layout decides which BLAS kernel runs later)
+        rng = np.random.default_rng(9)
+        raw = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+        x = standardize(raw)
+        basis = decompose(x)
+        u, s, vt = np.linalg.svd(x.values, full_matrices=False)
+        p = basis.p
+        v = vt[:p].T
+        signs = np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(p)])
+        want_u, want_v = u[:, :p] * signs, v * signs
+        assert p == min(rank, n - 1)
+        assert basis.u.flags.c_contiguous and basis.v.flags.f_contiguous
+        assert basis.u.tobytes() == want_u.tobytes()
+        assert basis.v.tobytes(order="A") == want_v.tobytes(order="A")
+        assert basis.u.base is None or basis.u.base.size == n * p
+
     def test_rank_tol(self):
         col = np.array([1.0, -1.0, 2.0, -2.0])
         noisy = np.column_stack([col, col + 1e-13 * np.array([1, -1, 1, -1])])
