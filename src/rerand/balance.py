@@ -28,14 +28,16 @@ shrinkage estimate and penalty search at the same (n, n_cal) reuses one
 seeded draw per process. A ridge criterion records its n_cal, and its
 shrinkage estimate replays exactly the rows its threshold was set on.
 
-The packed rows never leave this module. Calibration and shrinkage
-reduce them one 1024-row block at a time: unpack, convert to float64,
-project, and sum (or weight) the block's terms before the next block. A
-warm ridge calibration at n = 1000, d = 180 so peaks at about 11 MB of
-allocation, where unpacking all 10000 rows and holding their 180 x 10000
-terms took about 33 MB. Packed and 0/1 rows go through the same block
-product, so a calibration row's distance is the one batch_distances
-gives for it unpacked.
+The packed rows never leave this module. One generator, `_term_blocks`,
+unpacks, converts and projects them one 1024-row block at a time, and two
+consumers reduce each block before the next: `_batch_distances` (summed
+or ridge-weighted terms) and `_shrinkage` (per-component sums over all
+and over accepted rows). Calibration, the shrinkage estimate and the
+penalty search, which stacks the weights of its 13 candidates, all use
+these, so a warm ridge calibration at n = 1000, d = 180 peaks at about
+11 MB of allocation, never the 180 x 10000 terms. Packed and 0/1 rows go
+through the same block product, so a calibration row's distance is the
+one batch_distances gives for it unpacked.
 """
 
 from __future__ import annotations
@@ -180,24 +182,18 @@ def mahalanobis_ridge(
     return float((_ridge_weights(basis, c, lam) * t).sum())
 
 
-def _term_blocks(basis: SpectralBasis, w: np.ndarray, k: int | None, n_t: int):
+def _term_blocks(basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = None):
     """Summands t_j of the leading k components (all p for k = None) of the
     allocation rows of w, each with n_t treated units, one `_BLOCK_ROWS`-row
     block at a time.
 
-    Yields (t, wide) per block. t holds one column per row of the block,
-    in a buffer the next block overwrites, so a 10000-row calibration never
+    Yields one terms array per block, a column per row of the block, in a
+    buffer the next block overwrites, so a 10000-row calibration never
     holds more than one block in float64. The slice keeps the top-k cost
     per draw at O(nk). Rows are 0/1 of length n or, ceil(n/8) bytes wide,
     bit-packed as half_split_matrix gives a stream's rows; packed rows are
     unpacked one block at a time. A row's terms depend only on the block
-    it falls in.
-
-    wide is t, except for a one-row last block of a longer call: then it
-    is t beside a stale column of the previous block. numpy reduces a lone
-    column with other kernels (pairwise sum, dot product) than a matrix, so
-    `_distances` reduces wide, and a row's distance does not depend on
-    whether it is alone in its block.
+    it falls in, so every reduction of the same rows sees the same bits.
     """
     n = basis.n
     packed = w.shape[1] != n  # n >= 2, so ceil(n/8) < n
@@ -212,25 +208,7 @@ def _term_blocks(basis: SpectralBasis, w: np.ndarray, k: int | None, n_t: int):
         np.matmul(ut, rows.astype(float).T, out=t)
         np.square(t, out=t)
         t *= scale
-        yield t, (buf[:, :2] if lo and len(rows) == 1 else t)
-
-
-def _distances(t: np.ndarray, wide: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Criterion values of one block from `_term_blocks`: the sum of its
-    terms, or their ridge-weighted sum when weights are given."""
-    d = wide.sum(axis=0) if weights is None else weights @ wide
-    return d if wide is t else d[:1]  # wide is wider only around a lone row
-
-
-def _terms(basis: SpectralBasis, w: np.ndarray, k: int | None) -> np.ndarray:
-    """All the summands of `_term_blocks` as one matrix, a column per row,
-    for exact-split rows (ceil(n/2) treated) such as calibration rows."""
-    out = np.empty((basis.u[:, :k].shape[1], len(w)))
-    lo = 0
-    for t, _ in _term_blocks(basis, w, k, (basis.n + 1) // 2):
-        out[:, lo : lo + t.shape[1]] = t
-        lo += t.shape[1]
-    return out
+        yield t
 
 
 def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
@@ -240,15 +218,31 @@ def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
 
 
 def _batch_distances(
-    criterion: BalanceCriterion, basis: SpectralBasis, w: np.ndarray, n_t: int
+    basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """batch_distances without its checks, for rows of `_term_blocks`."""
-    weights = None
-    if criterion.scheme == "ridge":
-        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
-    blocks = _term_blocks(basis, w, criterion.k, n_t)
-    parts = [_distances(t, wide, weights) for t, wide in blocks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """batch_distances without its checks, for rows of `_term_blocks`: the
+    sum of each row's terms, or with ridge weights (one vector of length p,
+    or a stack of them) the weighted sum, one row of distances per vector."""
+    blocks = _term_blocks(basis, w, n_t, k)
+    parts = [t.sum(axis=0) if weights is None else weights @ t for t in blocks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresholds) -> np.ndarray:
+    """Monte Carlo per-component variance ratio on the exact-split rows w:
+    mean term over the rows whose `_batch_distances` value under weights
+    is at most the threshold, over the mean term of all rows. One row of
+    ratios per weight vector (and threshold), 1 where none is accepted."""
+    shape = np.shape(thresholds)
+    total, kept, n_acc = np.zeros(basis.p), np.zeros(shape + (basis.p,)), np.zeros(shape)
+    for t in _term_blocks(basis, w, (basis.n + 1) // 2):
+        acc = (weights @ t <= np.expand_dims(thresholds, -1)).astype(float)
+        total += t.sum(axis=1)
+        kept += acc @ t.T
+        n_acc += acc.sum(axis=-1)
+    n_acc = n_acc[..., None]
+    return np.where(n_acc > 0, kept / np.maximum(n_acc, 1) / (total / len(w)), 1.0)
 
 
 def batch_distances(
@@ -276,7 +270,18 @@ def batch_distances(
     n_t = int(counts[0]) if len(w) else 0
     if not 0 < n_t < basis.n or (counts != n_t).any():
         raise ValueError("rows must all treat the same number of units, strictly between 0 and n")
-    return _batch_distances(criterion, basis, w, n_t)
+    weights = None
+    if criterion.scheme == "ridge":
+        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
+    return _batch_distances(basis, w, n_t, criterion.k, weights)
+
+
+def _beta_components(basis: SpectralBasis, beta) -> np.ndarray:
+    """V'beta for outcome coefficients beta, a finite vector of length d."""
+    b = np.asarray(beta, dtype=float)
+    if b.shape != (basis.d,) or not np.isfinite(b).all():
+        raise ValueError(f"beta must be a finite vector of length d = {basis.d}")
+    return basis.v.T @ b
 
 
 def default_lambda(basis: SpectralBasis) -> float:
@@ -301,9 +306,9 @@ def choose_lambda(
     per-component shrinkage on the first n_cal rows of the calibration
     stream, the sample ridge thresholds are set on. This
     is a stand-in for exact penalty optimization, which has no closed
-    form here. Unlike calibration, the search holds the whole p x n_cal
-    terms matrix (14.4 MB at p = 180, n_cal = 10000), since it scores all
-    13 candidates on it.
+    form here. The 13 candidates are scored together: one block pass for
+    their distances and thresholds, one for their shrinkage. A tie within
+    1e-12 keeps the smaller penalty.
     """
     base = default_lambda(basis)
     if beta is None:
@@ -312,22 +317,17 @@ def choose_lambda(
         raise ValueError("p_a must lie strictly inside (0, 1)")
     if n_cal < 1:
         raise ValueError("n_cal must be at least 1")
-    terms = _terms(basis, half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM), None)
+    btil2 = _beta_components(basis, beta) ** 2
     c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
-    btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
-    sig2 = basis.singular_values**2
-    mean_terms = terms.mean(axis=1)
+    lams = [base * 10.0**g for g in range(-6, 7)]
+    weights = np.stack([_ridge_weights(basis, c_n, lam) for lam in lams])
+    rows = half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM)
+    dists = _batch_distances(basis, rows, (basis.n + 1) // 2, weights=weights)
+    xi = _shrinkage(basis, rows, weights, np.quantile(dists, p_a, axis=1))
+    scores = ((1.0 - xi) * basis.singular_values**2 * btil2).sum(axis=1)
 
     best_lam, best_score = base, -np.inf
-    for g in range(-6, 7):
-        lam = base * 10.0**g
-        dists = _ridge_weights(basis, c_n, lam) @ terms
-        a = float(np.quantile(dists, p_a))
-        acc = dists <= a
-        if not acc.any():
-            continue
-        xi = terms[:, acc].mean(axis=1) / mean_terms  # accepted over all variance
-        score = float(((1.0 - xi) * sig2 * btil2).sum())
+    for lam, score in zip(lams, scores):
         if score > best_score + 1e-12:
             best_lam, best_score = lam, score
     return best_lam
@@ -371,10 +371,10 @@ def calibrate(
             raise ValueError("lambda must be nonnegative")
         if n_cal < 1:
             raise ValueError("n_cal must be at least 1")
-        probe = BalanceCriterion("ridge", p_a, c_n, threshold=np.inf, lam=float(lam), n_cal=n_cal)
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)
-        dists = _batch_distances(probe, basis, rows, (n + 1) // 2)
-        return replace(probe, threshold=float(np.quantile(dists, p_a)))
+        weights = _ridge_weights(basis, c_n, lam)
+        a = float(np.quantile(_batch_distances(basis, rows, (n + 1) // 2, weights=weights), p_a))
+        return BalanceCriterion("ridge", p_a, c_n, threshold=a, lam=float(lam), n_cal=n_cal)
 
     if scheme == "rer":
         k = None
@@ -383,9 +383,7 @@ def calibrate(
     elif not 1 <= k <= basis.p:
         raise ValueError(f"k must lie in [1, {basis.p}]")
     dof = basis.p if k is None else k
-    crit = BalanceCriterion(
-        scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof
-    )
+    crit = BalanceCriterion(scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof)
     if dof == basis.p == n - 1:
         crit = _flag_degenerate(crit, n)
     return crit
@@ -408,26 +406,6 @@ def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
     return replace(crit, degenerate=True, note=note)
 
 
-def _ridge_component_shrinkage(criterion: BalanceCriterion, basis: SpectralBasis) -> np.ndarray:
-    # Monte Carlo per-component variance ratio on the calibration sample.
-    # Per block, each component's terms are added up over all rows and over
-    # the accepted ones (distances as batch_distances computes them), so
-    # only O(p) sums are held, not the p x n_cal terms.
-    rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)
-    weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
-    total = np.zeros(basis.p)
-    kept = np.zeros(basis.p)
-    n_acc = 0
-    for t, wide in _term_blocks(basis, rows, None, (basis.n + 1) // 2):
-        acc = _distances(t, wide, weights) <= criterion.threshold
-        total += t.sum(axis=1)
-        kept += t[:, acc].sum(axis=1)
-        n_acc += int(acc.sum())
-    if not n_acc:
-        return np.ones(basis.p)
-    return np.clip((kept / n_acc) / (total / len(rows)), 1e-12, 1.0)
-
-
 def predict_reduction(
     criterion: BalanceCriterion, basis: SpectralBasis, beta=None
 ) -> CovReductionReport:
@@ -445,9 +423,12 @@ def predict_reduction(
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")
+    btil = None if beta is None else _beta_components(basis, beta)
     shrink_value = criterion.shrinkage
     if criterion.scheme == "ridge":
-        shrink = _ridge_component_shrinkage(criterion, basis)
+        rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)
+        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
+        shrink = np.clip(_shrinkage(basis, rows, weights, criterion.threshold), 1e-12, 1.0)
     else:
         shrink = np.ones(basis.p)
         if shrink_value is not None:
@@ -462,8 +443,7 @@ def predict_reduction(
     prv[ok] = 1.0 - numer[ok] / denom[ok]
 
     reduction = None
-    if beta is not None:
-        btil = basis.v.T @ np.asarray(beta, dtype=float)
+    if btil is not None:
         reduction = float(criterion.sigma_factor * ((1.0 - shrink) * sig2 * btil**2).sum())
 
     return CovReductionReport(

@@ -71,7 +71,8 @@ simulate writes into --out:
   anova_r_mse.csv    same columns                     (deterministic)
   timings.csv        n, d, rho, scheme, mean_seconds, median_seconds
                      (only with --timings; varies run to run)
-Config file: one "key = value" per line, '#' comments, comma lists.
+Config file: one "key = value" per line, each key once, '#' comments,
+comma lists.
 Keys: n, d, rho, schemes, surfaces, betas, resid_vars, replications,
 groups, pa, gamma, lambda (number or auto), tau, max_draws, ridge_n_cal,
 seed.
@@ -107,9 +108,9 @@ def _parse_lambda(text):
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"--lambda must be a number or 'auto', got {text!r}")
+        raise ValueError(f"lambda must be a number or 'auto', got {text!r}")
     if value < 0:
-        raise ValueError("--lambda must be nonnegative")
+        raise ValueError("lambda must be nonnegative")
     return value
 
 
@@ -193,28 +194,21 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(","))
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(","))
-
-
-def _strs(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(","))
+def _list(parse):
+    """A parser of comma lists whose items parse(item) reads."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(","))
 
 
 # Study config key -> (FactorGrid field, value parser). The only other
 # accepted key is "seed", which is not part of the grid.
 _GRID_KEYS = {
-    "n": ("n_levels", _ints),
-    "d": ("d_levels", _ints),
-    "rho": ("rho_levels", _floats),
-    "schemes": ("schemes", _strs),
-    "surfaces": ("surfaces", _strs),
-    "betas": ("beta_choices", _strs),
-    "resid_vars": ("resid_vars", _floats),
+    "n": ("n_levels", _list(int)),
+    "d": ("d_levels", _list(int)),
+    "rho": ("rho_levels", _list(float)),
+    "schemes": ("schemes", _list(str)),
+    "surfaces": ("surfaces", _list(str)),
+    "betas": ("beta_choices", _list(str)),
+    "resid_vars": ("resid_vars", _list(float)),
     "replications": ("replications", int),
     "groups": ("groups", int),
     "pa": ("p_a", float),
@@ -226,8 +220,24 @@ _GRID_KEYS = {
 }
 
 
-def _parse_config(path) -> dict:
-    cfg: dict = {}
+class _Config(dict):
+    """The value text of each key of a study config, with the key's line."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.lines = path, {}
+
+    def parse(self, key, parse):
+        """parse(value of key); a ValueError names the file, line and key."""
+        try:
+            return parse(self[key])
+        except ValueError as exc:
+            where = f"{self.path}:{self.lines[key]}"
+            raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
+
+
+def _parse_config(path) -> _Config:
+    cfg = _Config(path)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -239,16 +249,18 @@ def _parse_config(path) -> dict:
             key, value = key.strip(), value.strip()
             if key not in _GRID_KEYS and key != "seed":
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {cfg.lines[key]}")
+            cfg[key], cfg.lines[key] = value, lineno
     return cfg
 
 
-def _grid_from_config(cfg: dict) -> FactorGrid:
+def _grid_from_config(cfg: _Config) -> FactorGrid:
     for req in ("n", "d", "rho"):
         if req not in cfg:
-            raise ValueError(f"config is missing required key {req!r}")
+            raise ValueError(f"{cfg.path}: config is missing required key {req!r}")
     return FactorGrid(**{
-        name: parse(cfg[key])
+        name: cfg.parse(key, parse)
         for key, (name, parse) in _GRID_KEYS.items()
         if key in cfg
     })
@@ -263,7 +275,7 @@ def _cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
     grid = _grid_from_config(cfg)
     if args.seed is None and "seed" in cfg:
-        seed = int(cfg["seed"])
+        seed = cfg.parse("seed", int)
     else:
         seed = _resolve_seed(args)
 

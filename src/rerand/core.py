@@ -324,7 +324,7 @@ def read_covariate_csv(path) -> tuple[list[str], np.ndarray]:
             yield line
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             names = next(csv.reader([fh.readline().removesuffix("\n")]), [])
             lines = data_lines(fh)
             first = next(lines, None)
@@ -349,12 +349,18 @@ def _first_bad_row(path, width: int) -> str:
     """Word the error for data lines that the C parse rejected.
 
     Only error reporting reads the file a second time, as one text (so a
-    decoding error names its offset in the file), and runs this per-cell
-    loop. Cells that float() takes but the C parser does not (`_`
-    separators, non-ASCII digits) count as non-numeric here too.
+    decoding error's start is its byte offset in the file, from which the
+    row follows), and runs this per-cell loop. Cells that float() takes
+    but the C parser does not (`_` separators, non-ASCII digits) count as
+    non-numeric here too.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            row = fh.read(exc.start).count(b"\n") + 1
+        return f"row {row}: bytes that do not decode as UTF-8 (offset {exc.start})"
     if lines[-1] == "":
         lines.pop()
     for i, line in enumerate(lines[1:], start=2):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rerand.balance import (
     DegenerateRuleWarning,
     _batch_distances,
     _ridge_weights,
-    _terms,
+    _term_blocks,
     batch_distances,
     calibrate,
     choose_lambda,
@@ -239,36 +240,39 @@ class TestBatchDistances:
     @pytest.mark.parametrize("count", [1025, 2 * 1024 + 3])
     @pytest.mark.parametrize("k", [None, 3])
     def test_terms_equal_concatenated_block_terms(self, k, count):
-        # A row's terms depend only on its 1024-row block. A one-shot product
-        # of all rows need not round like a small trailing block does, since
-        # BLAS picks its kernel by shape.
+        # A row's terms depend only on its 1024-row block, not on the blocks
+        # around it, so every pass over the same rows sees the same bits.
         x, basis = _setup(1000, 60, 70)
         rows = half_split_matrix(1000, count, RngStream(71).generator())
-        blocks = [_terms(basis, rows[lo : lo + 1024], k) for lo in range(0, len(rows), 1024)]
-        whole = _terms(basis, rows, k)
+
+        def terms(w):
+            return np.concatenate([t.copy() for t in _term_blocks(basis, w, 500, k)], axis=1)
+
+        whole = terms(rows)
+        blocks = [terms(rows[lo : lo + 1024]) for lo in range(0, len(rows), 1024)]
         assert whole.shape == (basis.p if k is None else k, len(rows))
         assert whole.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
     @pytest.mark.parametrize("count", [1, 255, 1024, 1025, 2049, 3000])
-    def test_block_reduction_equals_whole_matrix_reduction(self, count):
-        # Distances are reduced block by block, from 0/1 rows or (in the
-        # private kernel calibration uses) packed ones, yet equal the
-        # reduction of the whole terms matrix bit for bit, a lone row in the
-        # last block (1025, 2049) included.
+    def test_packed_rows_give_the_distances_of_their_0_1_rows(self, count):
+        # Calibration reduces bit-packed rows in the private kernel; each row's
+        # distance is the one batch_distances gives its 0/1 row, bit for bit,
+        # a lone row in the last block (1025, 2049) included.
         x, basis = _setup(62, 10, 92)
         rows = half_split_matrix(62, count, RngStream(93).generator())
         packed = np.packbits(rows, axis=1)
         c, lam, k = sigma_factor(31, 31), default_lambda(basis), 4
-        for crit, whole in (
-            (BalanceCriterion("rer", 0.05, c, threshold=np.inf),
-             _terms(basis, rows, None).sum(axis=0)),
-            (BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
-             _terms(basis, rows, k).sum(axis=0)),
-            (BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
-             _ridge_weights(basis, c, lam) @ _terms(basis, rows, None)),
+        weights = _ridge_weights(basis, c, lam)
+        for crit in (
+            BalanceCriterion("rer", 0.05, c, threshold=np.inf),
+            BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
+            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
         ):
-            assert batch_distances(crit, basis, rows).tobytes() == whole.tobytes()
-            assert _batch_distances(crit, basis, packed, 31).tobytes() == whole.tobytes()
+            got = _batch_distances(
+                basis, packed, 31, crit.k, weights if crit.scheme == "ridge" else None
+            )
+            assert got.shape == (count,)
+            assert got.tobytes() == batch_distances(crit, basis, rows).tobytes()
 
     def test_packed_rows_of_the_wrong_width_are_rejected(self):
         # the public function takes 0/1 rows of length n only
@@ -551,6 +555,31 @@ class TestCalibrate:
         assert retained <= 2.5e6 and peak < 50e6
 
 
+def _whole_matrix_choose_lambda(basis, p_a, beta, n_cal):
+    # The penalty search as it ran on the whole p x n_cal terms matrix, one
+    # candidate at a time: a reference for the stacked block passes.
+    n, n_t = basis.n, (basis.n + 1) // 2
+    rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM.generator()).astype(float)
+    terms = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1) * (basis.u.T @ rows.T) ** 2
+    base = default_lambda(basis)
+    c_n = sigma_factor(n - n // 2, n // 2)
+    btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
+    sig2 = basis.singular_values**2
+    mean_terms = terms.mean(axis=1)
+    best_lam, best_score = base, -np.inf
+    for g in range(-6, 7):
+        lam = base * 10.0**g
+        dists = _ridge_weights(basis, c_n, lam) @ terms
+        acc = dists <= float(np.quantile(dists, p_a))
+        if not acc.any():
+            continue
+        xi = terms[:, acc].mean(axis=1) / mean_terms
+        score = float(((1.0 - xi) * sig2 * btil2).sum())
+        if score > best_score + 1e-12:
+            best_lam, best_score = lam, score
+    return best_lam
+
+
 class TestLambdaSelection:
     def test_default_is_smallest_eigenvalue_scaled(self):
         x, basis = _setup(30, 5, 49)
@@ -569,6 +598,44 @@ class TestLambdaSelection:
         g = np.log10(lam / default_lambda(basis))
         assert abs(g - round(g)) < 1e-9
         assert -6 <= round(g) <= 6
+
+    @pytest.mark.parametrize("n, d, n_cal, p_a", [
+        (40, 6, 2000, 0.05), (62, 10, 1025, 0.1), (100, 50, 2049, 0.05),
+        (200, 180, 3000, 0.05), (120, 30, 10000, 0.2),
+    ])
+    def test_beta_search_matches_the_whole_matrix_search(self, n, d, n_cal, p_a):
+        x, basis = _setup(n, d, n + d)
+        beta = np.random.default_rng(d).standard_normal(d)
+        want = _whole_matrix_choose_lambda(basis, p_a, beta, n_cal)
+        assert choose_lambda(basis, p_a, beta=beta, n_cal=n_cal) == want
+
+    def test_beta_search_memory_budget(self):
+        # The 13 candidates are scored in two block passes over the packed
+        # draw; holding the whole 180 x 10000 terms matrix peaked at 25 MB.
+        x, basis = _setup(1000, 180, 72)
+        calibrate("ridge", 0.05, basis)  # memoizes the packed draw
+        tracemalloc.start()
+        try:
+            choose_lambda(basis, 0.05, beta=np.ones(180))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("beta", [
+        [np.nan] * 6, [np.inf] + [1.0] * 5, np.ones(5), np.ones(7), np.ones((6, 1)), 2.0,
+    ])
+    def test_bad_beta_rejected(self, beta):
+        # a NaN beta gave a NaN predicted reduction and the default penalty
+        x, basis = _setup(40, 6, 51)
+        ridge = calibrate("ridge", 0.05, basis, n_cal=500)
+        for call in (
+            lambda: choose_lambda(basis, 0.05, beta=beta, n_cal=500),
+            lambda: predict_reduction(ridge, basis, beta=beta),
+            lambda: predict_reduction(calibrate("rer", 0.05, basis), basis, beta=beta),
+        ):
+            with pytest.raises(ValueError, match="finite vector of length d = 6"):
+                call()
 
     def test_beta_search_needs_a_calibration_row(self):
         x, basis = _setup(40, 6, 51)
@@ -612,6 +679,12 @@ class TestPredictReduction:
         assert np.all(rep.per_component_shrinkage > 0)
         assert np.all(rep.per_component_shrinkage <= 1.0)
         assert rep.shrinkage_value is None and crit.shrinkage is None
+
+    def test_ridge_rule_accepting_no_row_predicts_no_shrinkage(self):
+        x, basis = _setup(30, 5, 56)
+        crit = replace(calibrate("ridge", 0.05, basis, n_cal=2000), threshold=0.0)
+        rep = predict_reduction(crit, basis)
+        np.testing.assert_array_equal(rep.per_component_shrinkage, np.ones(basis.p))
 
     def test_tau_var_reduction_formula(self):
         x, basis = _setup(30, 5, 57)

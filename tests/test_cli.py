@@ -160,6 +160,18 @@ class TestAllocate:
         err = capsys.readouterr().err
         assert f"{cov}: need a header row and at least two units" in err
 
+    def test_undecodable_csv_names_the_file_and_row(self, tmp_path, capsys):
+        cov = tmp_path / "bad.csv"
+        data = bytearray(Path(_cov_csv(cov, n=2000)).read_bytes())
+        data[15000] = 0xFF
+        cov.write_bytes(data)
+        row = data.count(b"\n", 0, 15000) + 1
+        assert main(["allocate", "--input", str(cov), "--out", str(tmp_path / "run"),
+                     "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cov}: row {row}: bytes that do not decode as UTF-8 (offset 15000)\n"
+        )
+
     def test_schema_flag(self, tmp_path, capsys):
         assert main(["allocate", "--schema"]) == 0
         assert "allocation.csv" in capsys.readouterr().out
@@ -269,6 +281,35 @@ class TestSimulate:
         assert "unknown key 'master_n'" in capsys.readouterr().err
 
         assert main(["simulate", "--out", out]) == 1
+
+    def test_bad_value_names_the_file_line_and_key(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        for extra, line, key, why in (
+            ("pa = 0.o5\n", 9, "pa", "could not convert string to float: '0.o5'"),
+            ("lambda = -x\n", 9, "lambda", "lambda must be a number or 'auto', got '-x'"),
+        ):
+            cfg = _config(tmp_path / "bad.cfg", extra)
+            assert main(["simulate", "--config", cfg, "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {cfg}:{line}: bad value for {key!r}: {why}\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 100, 10x\nd = 3\nrho = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: bad value for 'n': invalid literal for int() with base 10: '10x'\n"
+        )
+        cfg = _config(tmp_path / "seed.cfg", seed="seed = 9.5\n")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:8: bad value for 'seed': "
+            "invalid literal for int() with base 10: '9.5'\n"
+        )
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the last value silently won
+        cfg = _config(tmp_path / "twice.cfg", "\n# again\nd = 5\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:11: key 'd' repeats line 3\n"
 
     def test_schema_flag(self, capsys):
         assert main(["simulate", "--schema"]) == 0

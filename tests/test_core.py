@@ -379,6 +379,22 @@ class TestCsv:
         self._rejects(tmp_path, self._LONG + "3,4,5\n6,7\n", "row 1002 has 3 cells, expected 2")
         self._rejects(tmp_path, self._LONG + "3,4\n5,x\n", "non-numeric cell in row 1003:")
 
+    def test_undecodable_bytes_named_by_row_and_offset(self, tmp_path):
+        # the decode error used to escape with neither the path nor the row
+        path = tmp_path / "bad.csv"
+        long = self._LONG.encode()
+        for data, row, offset in (
+            (b"a,\xffb\n1,2\n3,4\n", 1, 2),
+            (long + b"3,4\n5,\xff\n", 1003, len(long) + 6),
+            (b"a,b\r\n1,2\r\n3,\xff4\r\n", 3, 12),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(ValueError) as info:
+                read_covariate_csv(path)
+            assert str(info.value) == (
+                f"{path}: row {row}: bytes that do not decode as UTF-8 (offset {offset})"
+            )
+
     def test_header_width_must_match_data(self, tmp_path):
         self._rejects(tmp_path, "a,b,c\n1,2\n3,4\n", "row 2", "2 cells, expected 3")
         self._rejects(tmp_path, "a\n1,2\n3,4\n", "row 2", "2 cells, expected 1")
