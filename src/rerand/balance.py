@@ -83,7 +83,8 @@ class BalanceCriterion:
     freedom used to set the threshold ("rer"/"pca" only). degenerate flags
     the rank = n-1 case in which M is the constant n-1 and the rule cannot
     discriminate. n_cal records the Monte Carlo sample a "ridge" threshold
-    was set on: the first n_cal rows of the calibration stream.
+    was set on: the first n_cal rows of the calibration stream. A "ridge"
+    rule needs a finite lam >= 0 and n_cal >= 1 (ValueError otherwise).
     """
 
     scheme: str
@@ -96,6 +97,13 @@ class BalanceCriterion:
     degenerate: bool = False
     note: str = ""
     n_cal: int | None = None
+
+    def __post_init__(self):
+        if self.scheme == "ridge":
+            if self.lam is None or not 0.0 <= self.lam < np.inf:
+                raise ValueError("ridge criterion: lam must be a finite nonnegative number")
+            if self.n_cal is None or self.n_cal < 1:
+                raise ValueError("ridge criterion: n_cal must be at least 1")
 
     @property
     def shrinkage(self) -> float | None:
@@ -161,6 +169,12 @@ def mahalanobis_pca(basis: SpectralBasis, k: int, w: Allocation) -> float:
     return float(_standardized_terms(basis, w)[:k].sum())
 
 
+def _check_lambda(lam) -> None:
+    """Raise ValueError unless the ridge penalty lam satisfies 0 <= lam < inf."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda must be a finite nonnegative number")
+
+
 def mahalanobis_ridge(
     x: CovariateMatrix, basis: SpectralBasis, lam: float, w: Allocation
 ) -> float:
@@ -169,8 +183,7 @@ def mahalanobis_ridge(
     For centered X the mean difference lies in the column space of V, so
     the spectral sum is the whole distance even when the rank is deficient.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(lam)
     if x.n != basis.n or x.d != basis.d:
         raise ValueError("covariate matrix disagrees with basis dimensions")
     if lam == 0.0:
@@ -367,8 +380,7 @@ def calibrate(
     if scheme == "ridge":
         if lam is None:
             lam = default_lambda(basis)
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        _check_lambda(lam)
         if n_cal < 1:
             raise ValueError("n_cal must be at least 1")
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)

@@ -23,7 +23,7 @@ import secrets
 import sys
 import warnings
 
-from .balance import DegenerateRuleWarning, calibrate, predict_reduction
+from .balance import DegenerateRuleWarning, _check_lambda, calibrate, predict_reduction
 from .core import (
     RngStream,
     group_means,
@@ -64,8 +64,8 @@ simulate writes into --out:
   metrics.csv        n, d, rho, surface, beta, resid_var, scheme,
                      r_sigma_bar_sq, r_mse, k_selected, k_mean, v_ak,
                      exhausted, mean_draws, accept_rate (deterministic)
-  summary.json       master_seed, every grid setting (ridge_n_cal
-                     included), the records above     (deterministic)
+  summary.json       master_seed, every grid setting, the records
+                     above                            (deterministic)
   anova_r_sigma.csv  term, df, sum_sq, mean_sq, f_ratio (deterministic;
                      needs groups >= 2)
   anova_r_mse.csv    same columns                     (deterministic)
@@ -74,8 +74,7 @@ simulate writes into --out:
 Config file: one "key = value" per line, each key once, '#' comments,
 comma lists.
 Keys: n, d, rho, schemes, surfaces, betas, resid_vars, replications,
-groups, pa, gamma, lambda (number or auto), tau, max_draws, ridge_n_cal,
-seed.
+groups, pa, gamma, lambda (number or auto), tau, max_draws, seed.
 """
 
 _DIAGNOSE_SCHEMA = """\
@@ -109,8 +108,7 @@ def _parse_lambda(text):
         value = float(text)
     except ValueError:
         raise ValueError(f"lambda must be a number or 'auto', got {text!r}")
-    if value < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(value)
     return value
 
 
@@ -216,7 +214,6 @@ _GRID_KEYS = {
     "lambda": ("lam", _parse_lambda),
     "tau": ("tau", float),
     "max_draws": ("max_draws", int),
-    "ridge_n_cal": ("ridge_n_cal", int),
 }
 
 

@@ -43,65 +43,53 @@ def _as_float_matrix(raw) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovariateMatrix:
-    """A fixed n x d design matrix with standardization metadata.
-
-    `column_means` and `column_sds` are the pre-standardization moments,
-    kept so reports can translate standardized effects back to raw units.
-    `constant_columns` marks columns that had (near-)zero sample sd; they
-    are centered to zero rather than scaled.
-    """
+    """A fixed n x d design matrix, n >= 2 and d >= 1; standardize gives
+    one with centered, unit-variance columns (constant columns zeroed)."""
 
     values: np.ndarray
-    n: int
-    d: int
-    standardized: bool
-    column_means: np.ndarray
-    column_sds: np.ndarray
-    constant_columns: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n < 2 or self.d < 1:
+        if self.values.ndim != 2 or self.n < 2 or self.d < 1:
             raise ValueError("need n >= 2 and d >= 1")
-        if self.values.shape != (self.n, self.d):
-            raise ValueError("shape metadata disagrees with values")
-        if self.constant_columns is None:
-            object.__setattr__(
-                self, "constant_columns", np.zeros(self.d, dtype=bool)
-            )
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """Binary assignment vector W (1 = treatment) with group bookkeeping."""
+    """Binary assignment vector W (1 = treatment); the group sizes follow
+    from it."""
 
     assignment: np.ndarray
-    n_treated: int
-    n_control: int
+    n_treated: int = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.assignment)
         if not np.all((w == 0) | (w == 1)):
             raise ValueError("assignment must be 0/1")
-        if int(w.sum()) != self.n_treated or w.size != self.n:
-            raise ValueError("group counts disagree with assignment")
+        object.__setattr__(self, "n_treated", int(w.sum()))
 
     @property
     def n(self) -> int:
-        return self.n_treated + self.n_control
+        return len(self.assignment)
+
+    @property
+    def n_control(self) -> int:
+        return self.n - self.n_treated
 
     @property
     def equal_split(self) -> bool:
         return self.n_treated == self.n_control
 
-    def complement(self) -> "Allocation":
-        """The mirrored allocation 1 - W."""
-        return Allocation(1 - self.assignment, self.n_control, self.n_treated)
-
 
 def make_allocation(assignment) -> Allocation:
-    w = np.asarray(assignment, dtype=np.int8)
-    n_t = int(w.sum())
-    return Allocation(w, n_t, w.size - n_t)
+    return Allocation(np.asarray(assignment, dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -230,8 +218,7 @@ def standardize(raw) -> CovariateMatrix:
     """Center each column and scale it to unit sample variance.
 
     Uses the n-1 divisor so downstream covariance formulas line up with
-    cov(X) = X'X/(n-1). Columns with (near-)zero sd are centered only and
-    flagged in `constant_columns`.
+    cov(X) = X'X/(n-1). Columns with (near-)zero sd are set to zero.
 
     Holds about one design-sized array beyond `raw` at any time: the
     returned values, centered and then scaled in place.
@@ -240,12 +227,10 @@ def standardize(raw) -> CovariateMatrix:
         raw: n x d array-like, n >= 2, finite entries.
 
     Returns:
-        A standardized CovariateMatrix retaining the original column
-        means and sds.
+        The standardized CovariateMatrix.
     """
     a = _as_float_matrix(raw)
-    n, d = a.shape
-    if n < 2:
+    if a.shape[0] < 2:
         raise ValueError("need at least two rows to standardize")
     means = a.mean(axis=0)
     sds = a.std(axis=0, ddof=1)
@@ -254,15 +239,7 @@ def standardize(raw) -> CovariateMatrix:
     vals = a - means
     vals /= safe
     vals[:, constant] = 0.0
-    return CovariateMatrix(
-        values=vals,
-        n=n,
-        d=d,
-        standardized=True,
-        column_means=means,
-        column_sds=sds,
-        constant_columns=constant,
-    )
+    return CovariateMatrix(vals)
 
 
 def group_means(x: CovariateMatrix, w: Allocation) -> GroupMeans:

@@ -72,12 +72,7 @@ def complete_randomization(n: int, rng, near_equal: bool = False) -> Allocation:
             UserWarning,
             stacklevel=2,
         )
-    return _row_allocation(half_split_matrix(n, 1, as_generator(rng))[0], n)
-
-
-def _row_allocation(row: np.ndarray, n: int) -> Allocation:
-    n_t = (n + 1) // 2
-    return Allocation(row, n_t, n - n_t)
+    return Allocation(half_split_matrix(n, 1, as_generator(rng))[0])
 
 
 def rerandomize(
@@ -136,7 +131,7 @@ def rerandomize(
             first = int(hits[0])
             # copy, so the returned allocation does not keep the batch alive
             return RerandomizationResult(
-                _row_allocation(rows[first].copy(), n),
+                Allocation(rows[first].copy()),
                 float(dists[first]),
                 done + first + 1,
                 True,
@@ -150,7 +145,7 @@ def rerandomize(
         batch = min(batch * 4, _BATCH_CAP)
 
     return RerandomizationResult(
-        _row_allocation(best_row, n),
+        Allocation(best_row),
         best_value,
         max_draws,
         False,

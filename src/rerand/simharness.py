@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balance import calibrate
+from .balance import _check_lambda, calibrate
 from .core import (
     Allocation,
     CovariateMatrix,
@@ -55,7 +55,8 @@ class FactorGrid:
     Complete randomization is always run as the baseline and is not
     listed in `schemes`. `lam` of None means the per-matrix default
     ridge penalty; `replications` must divide evenly into `groups`
-    blocks, which supply the within-configuration variance.
+    blocks, which supply the within-configuration variance. Every setting
+    is checked here, so a bad value fails before the study runs a cell.
     """
 
     n_levels: tuple[int, ...]
@@ -72,7 +73,6 @@ class FactorGrid:
     lam: float | None = None
     tau: float = 1.0
     max_draws: int = DEFAULT_MAX_DRAWS
-    ridge_n_cal: int = 10000
 
     def __post_init__(self):
         for name in ("n_levels", "d_levels", "rho_levels", "schemes",
@@ -94,18 +94,20 @@ class FactorGrid:
         bad = set(self.beta_choices) - set(BETA_CHOICES)
         if bad:
             raise ValueError(f"unknown beta choices: {sorted(bad)}")
-        if any(v < 0 for v in self.resid_vars):
-            raise ValueError("residual variances must be nonnegative")
+        if any(not 0.0 <= v < np.inf for v in self.resid_vars):
+            raise ValueError("residual variances must be finite and nonnegative")
         if self.groups < 1 or self.replications < 1:
             raise ValueError("replications and groups must be positive")
         if self.replications % self.groups:
             raise ValueError("replications must be divisible by groups")
         if not 0.0 < self.p_a < 1.0 or not 0.0 < self.gamma < 1.0:
             raise ValueError("p_a and gamma must lie strictly inside (0, 1)")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.ridge_n_cal < 1:
-            raise ValueError("n_cal must be at least 1")
+        if self.lam is not None:
+            _check_lambda(self.lam)
+        if not np.isfinite(self.tau):
+            raise ValueError("tau must be finite")
+        if self.max_draws < 1:
+            raise ValueError("max_draws must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,7 @@ def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> l
             # replication's matrix needs its own criterion, and for ridge
             # that is a Monte Carlo step.
             t0 = time.perf_counter()
-            crit = calibrate(
-                scheme, grid.p_a, basis, k=k, lam=grid.lam, n_cal=grid.ridge_n_cal,
-            )
+            crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
             res = rerandomize(x, crit, alloc_root.child(ci).child(si), grid.max_draws, basis=basis)
             cell.seconds[si] = time.perf_counter() - t0
             w = res.allocation

@@ -20,14 +20,13 @@ class SpectralBasis:
     """Thin SVD factors of a centered covariate matrix.
 
     u: n x p left singular vectors; v: d x p right singular vectors;
-    singular_values: nonincreasing positive sigma_1 >= ... >= sigma_p;
-    p: effective rank after tolerance truncation.
+    singular_values: nonincreasing positive sigma_1 >= ... >= sigma_p,
+    where p is the effective rank after tolerance truncation.
     """
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
-    p: int
 
     @property
     def n(self) -> int:
@@ -37,30 +36,27 @@ class SpectralBasis:
     def d(self) -> int:
         return self.v.shape[0]
 
-    def component_variances(self) -> np.ndarray:
-        """Sample variances s_j^2 = sigma_j^2/(n-1) of the principal components."""
-        return self.singular_values**2 / (self.n - 1)
+    @property
+    def p(self) -> int:
+        return len(self.singular_values)
 
 
 @dataclass(frozen=True)
 class ComponentSelection:
     k: int
-    gamma: float
     explained: np.ndarray  # cumulative explained-variance ratios, length p
 
 
-def decompose(x: CovariateMatrix, rank_tol: float | None = None) -> SpectralBasis:
+def decompose(x: CovariateMatrix) -> SpectralBasis:
     """Thin SVD with tolerance-based rank truncation.
 
-    Singular values below rank_tol * sigma_1 are dropped (default
-    rank_tol = machine epsilon * max(n, d), the conventional numerical
-    rank rule). Each right singular vector is sign-fixed so its largest
-    magnitude entry is positive, making downstream diagnostics and golden
-    files deterministic.
+    Singular values at or below eps * max(n, d) * sigma_1 are dropped
+    (eps the machine epsilon), the conventional numerical rank rule. Each
+    right singular vector is sign-fixed so its largest magnitude entry is
+    positive, making downstream diagnostics and golden files deterministic.
 
     Args:
         x: standardized (at minimum centered) covariate matrix.
-        rank_tol: relative singular value cutoff, or None for the default.
     """
     a = x.values
     if not np.all(np.isfinite(a)):
@@ -68,9 +64,7 @@ def decompose(x: CovariateMatrix, rank_tol: float | None = None) -> SpectralBasi
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("zero matrix has no spectral basis")
-    if rank_tol is None:
-        rank_tol = np.finfo(float).eps * max(x.n, x.d)
-    p = int(np.sum(s > rank_tol * s[0]))
+    p = int(np.sum(s > np.finfo(float).eps * max(x.n, x.d) * s[0]))
     if p == 0:
         raise ValueError("no singular values above tolerance")
     # A truncated u is copied, so that u stays C-contiguous as LAPACK gave it.
@@ -84,7 +78,7 @@ def decompose(x: CovariateMatrix, rank_tol: float | None = None) -> SpectralBasi
     v *= signs
     u *= signs
 
-    return SpectralBasis(u=u, singular_values=s, v=v, p=p)
+    return SpectralBasis(u=u, singular_values=s, v=v)
 
 
 def select_k(basis: SpectralBasis, gamma: float) -> ComponentSelection:
@@ -98,7 +92,7 @@ def select_k(basis: SpectralBasis, gamma: float) -> ComponentSelection:
     explained = np.cumsum(energy) / energy.sum()
     k = int(np.searchsorted(explained, gamma, side="left")) + 1
     k = min(k, basis.p)
-    return ComponentSelection(k=k, gamma=gamma, explained=explained)
+    return ComponentSelection(k=k, explained=explained)
 
 
 def project(basis: SpectralBasis, k: int, diff: np.ndarray) -> np.ndarray:

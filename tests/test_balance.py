@@ -184,8 +184,9 @@ class TestMahalanobisRidge:
 
     def test_negative_lambda_rejected(self):
         x, basis = _setup(10, 3, 35)
-        with pytest.raises(ValueError):
-            mahalanobis_ridge(x, basis, -1.0, make_allocation([1, 0] * 5))
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda must be a finite nonnegative number"):
+                mahalanobis_ridge(x, basis, lam, make_allocation([1, 0] * 5))
 
 
 class TestBatchDistances:
@@ -231,6 +232,7 @@ class TestBatchDistances:
             crit = BalanceCriterion(
                 scheme, 0.05, sigma_factor(half, half), threshold=np.inf,
                 k=k if scheme == "pca" else None, lam=lam if scheme == "ridge" else None,
+                n_cal=10000 if scheme == "ridge" else None,
             )
             np.testing.assert_allclose(
                 batch_distances(crit, basis, rows), [single(w) for w in allocs],
@@ -266,7 +268,7 @@ class TestBatchDistances:
         for crit in (
             BalanceCriterion("rer", 0.05, c, threshold=np.inf),
             BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
-            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
+            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam, n_cal=10000),
         ):
             got = _batch_distances(
                 basis, packed, 31, crit.k, weights if crit.scheme == "ridge" else None
@@ -351,7 +353,7 @@ class TestCriterionIdentities:
         for crit in (
             BalanceCriterion("rer", 0.05, c, threshold=np.inf),
             BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
-            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam),
+            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam, n_cal=10000),
         ):
             np.testing.assert_allclose(
                 batch_distances(crit, basis, rows),
@@ -359,7 +361,7 @@ class TestCriterionIdentities:
                 **tol,
             )
         for w in (make_allocation(row) for row in rows[:2]):
-            flip = w.complement()
+            flip = make_allocation(1 - w.assignment)
             for single in (
                 lambda a: mahalanobis(x, basis, a),
                 lambda a: mahalanobis_pca(basis, k, a),
@@ -457,6 +459,33 @@ class TestCalibrate:
         for n_cal in (0, -1):
             with pytest.raises(ValueError, match="n_cal must be at least 1"):
                 calibrate("ridge", 0.05, basis, n_cal=n_cal)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -0.5])
+    def test_bad_lambda_fails_before_drawing(self, lam, monkeypatch):
+        x, basis = _setup(10, 3, 48)
+
+        def no_draws(*args):
+            raise AssertionError("calibration rows drawn for a bad lambda")
+
+        monkeypatch.setattr("rerand.balance.half_split_matrix", no_draws)
+        with pytest.raises(ValueError, match="lambda must be a finite nonnegative number"):
+            calibrate("ridge", 0.05, basis, lam=lam)
+
+    def test_hand_built_ridge_criterion_needs_lam_and_n_cal(self):
+        # named at construction, not as a TypeError deep in predict_reduction
+        # or rerandomize
+        c = sigma_factor(5, 5)
+        for kwargs, field in (
+            (dict(n_cal=100), "lam"),
+            (dict(lam=np.nan, n_cal=100), "lam"),
+            (dict(lam=np.inf, n_cal=100), "lam"),
+            (dict(lam=-1.0, n_cal=100), "lam"),
+            (dict(lam=0.1), "n_cal"),
+            (dict(lam=0.1, n_cal=0), "n_cal"),
+        ):
+            with pytest.raises(ValueError, match=f"ridge criterion: {field} must be"):
+                BalanceCriterion("ridge", 0.05, c, threshold=1.0, **kwargs)
+        assert BalanceCriterion("ridge", 0.05, c, threshold=1.0, lam=0.0, n_cal=1).lam == 0.0
 
     def test_ridge_calibration_memory_budget(self):
         # Calibration rows are converted and projected in 1024-row blocks, so
@@ -706,14 +735,7 @@ class TestPredictReduction:
         signs = np.array(
             [[1, 1, 1], [-1, -1, 1], [1, -1, -1], [-1, 1, -1]], dtype=float
         )
-        x = CovariateMatrix(
-            values=signs * np.array([4.0, 2.0, 1.0]),
-            n=4,
-            d=3,
-            standardized=False,
-            column_means=np.zeros(3),
-            column_sds=np.ones(3),
-        )
+        x = CovariateMatrix(signs * np.array([4.0, 2.0, 1.0]))
         basis = decompose(x)
         np.testing.assert_allclose(basis.v, np.eye(3), atol=1e-12)
         crit = calibrate("pca", 0.05, basis, k=2)

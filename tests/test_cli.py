@@ -153,6 +153,15 @@ class TestAllocate:
                      "--out", out, "--seed", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_fails_before_drawing(self, tmp_path, capsys, text):
+        cov = _cov_csv(tmp_path / "cov.csv")
+        out = tmp_path / "run"
+        assert main(["allocate", "--input", cov, "--scheme", "ridge", f"--lambda={text}",
+                     "--out", str(out), "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: lambda must be a finite nonnegative number\n"
+        assert not out.exists()
+
     def test_one_unit_csv_names_the_file(self, tmp_path, capsys):
         cov = _cov_csv(tmp_path / "one.csv", n=1)
         assert main(["allocate", "--input", cov, "--out", str(tmp_path / "run"),
@@ -287,6 +296,8 @@ class TestSimulate:
         for extra, line, key, why in (
             ("pa = 0.o5\n", 9, "pa", "could not convert string to float: '0.o5'"),
             ("lambda = -x\n", 9, "lambda", "lambda must be a number or 'auto', got '-x'"),
+            ("lambda = nan\n", 9, "lambda", "lambda must be a finite nonnegative number"),
+            ("lambda = inf\n", 9, "lambda", "lambda must be a finite nonnegative number"),
         ):
             cfg = _config(tmp_path / "bad.cfg", extra)
             assert main(["simulate", "--config", cfg, "--out", out]) == 1

@@ -50,15 +50,18 @@ class TestFactorGrid:
             dict(ok, p_a=0.0),
             dict(ok, gamma=1.0),
             dict(ok, lam=-0.1),
+            # each of these otherwise fails only after the first cell has run
+            dict(ok, lam=np.nan),
+            dict(ok, lam=np.inf),
+            dict(ok, tau=np.nan),
+            dict(ok, tau=np.inf),
+            dict(ok, resid_vars=(1.0, np.inf)),
+            dict(ok, resid_vars=(np.nan,)),
+            dict(ok, max_draws=0),
         ]
         for kwargs in bad:
             with pytest.raises(ValueError):
                 FactorGrid(**kwargs)
-
-    def test_ridge_needs_a_calibration_row(self):
-        # rejected at construction, not at the first ridge cell of a study
-        with pytest.raises(ValueError, match="n_cal must be at least 1"):
-            FactorGrid((20,), (3,), (0.5,), schemes=("ridge",), ridge_n_cal=0)
 
 
 class TestGenCovariates:
@@ -280,7 +283,7 @@ class TestRunStudy:
         # replications in three groups is the only group of the first four
         kw = dict(
             rho_levels=(0.5,), schemes=("rer", "ridge", "pca"),
-            surfaces=("linear", "exp"), beta_choices=("spectral",), ridge_n_cal=500,
+            surfaces=("linear", "exp"), beta_choices=("spectral",),
         )
         three = run_study(_small_grid(replications=12, groups=3, **kw), master_seed=112)
         one = run_study(_small_grid(replications=4, groups=1, **kw), master_seed=112)
@@ -344,7 +347,7 @@ class TestRunStudy:
     def test_ridge_scheme_runs(self):
         grid = _small_grid(
             rho_levels=(0.5,), schemes=("ridge",), replications=20,
-            groups=2, ridge_n_cal=500,
+            groups=2,
         )
         report = run_study(grid, master_seed=105)
         ridge = [r for r in report.records if r.scheme == "ridge"]
@@ -472,13 +475,13 @@ class TestWriters:
         assert len(got) == 1 + len(report.timings)
 
     def test_summary_json_grid_lists_every_setting(self, tmp_path):
-        grid = _small_grid(ridge_n_cal=500)
+        grid = _small_grid(max_draws=500)
         path = tmp_path / "summary.json"
         write_summary_json(SimReport(grid=grid, master_seed=0, records=[]), path)
         block = json.loads(path.read_text())["grid"]
         names = {f.name: "lambda" if f.name == "lam" else f.name for f in dataclasses.fields(FactorGrid)}
         assert sorted(block) == sorted(names.values())
-        assert block["ridge_n_cal"] == 500
+        assert block["max_draws"] == 500
         for name, key in names.items():
             value = getattr(grid, name)
             assert block[key] == (list(value) if isinstance(value, tuple) else value)

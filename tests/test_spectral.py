@@ -6,16 +6,7 @@ from rerand.spectral import decompose, project, select_k
 
 
 def _matrix(values):
-    values = np.asarray(values, dtype=float)
-    n, d = values.shape
-    return CovariateMatrix(
-        values=values,
-        n=n,
-        d=d,
-        standardized=False,
-        column_means=np.zeros(d),
-        column_sds=np.ones(d),
-    )
+    return CovariateMatrix(np.asarray(values, dtype=float))
 
 
 def _orthogonal_two_col():
@@ -50,15 +41,6 @@ class TestDecompose:
         basis = decompose(x)
         assert np.sum(basis.singular_values**2) == pytest.approx(
             np.linalg.norm(x.values) ** 2, rel=1e-8
-        )
-
-    def test_component_variances(self):
-        rng = np.random.default_rng(6)
-        x = standardize(rng.standard_normal((60, 5)))
-        basis = decompose(x)
-        z = basis.u * basis.singular_values
-        np.testing.assert_allclose(
-            z.var(axis=0, ddof=1), basis.component_variances(), rtol=1e-10
         )
 
     def test_components_centered(self):
@@ -98,10 +80,14 @@ class TestDecompose:
         assert basis.u.base is None or basis.u.base.size == n * p
 
     def test_rank_tol(self):
+        # the rule keeps sigma_j > eps * max(n, d) * sigma_1: a 1e-13
+        # perturbation of a duplicate column is above it and stays
         col = np.array([1.0, -1.0, 2.0, -2.0])
         noisy = np.column_stack([col, col + 1e-13 * np.array([1, -1, 1, -1])])
-        assert decompose(_matrix(noisy)).p == 2
-        assert decompose(_matrix(noisy), rank_tol=1e-10).p == 1
+        basis = decompose(_matrix(noisy))
+        assert basis.p == 2
+        s = np.linalg.svd(noisy, compute_uv=False)
+        assert s[1] > np.finfo(float).eps * 4 * s[0]
 
     def test_errors(self):
         with pytest.raises(ValueError):
