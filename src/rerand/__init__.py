@@ -11,7 +11,6 @@ from .balance import (
     BalanceCriterion,
     CovReductionReport,
     calibrate,
-    choose_lambda,
     default_lambda,
     mahalanobis,
     mahalanobis_pca,
@@ -80,7 +79,6 @@ __all__ = [
     "calibrate",
     "chi2_cdf",
     "chi2_quantile",
-    "choose_lambda",
     "complete_randomization",
     "decompose",
     "default_lambda",

@@ -23,17 +23,18 @@ law), so it is calibrated as an empirical quantile over seeded Monte
 Carlo randomizations; ridge shrinkage diagnostics are likewise Monte
 Carlo estimates, not closed forms. These draws are always the first n_cal
 rows of the fixed stream `_CALIBRATION_STREAM`, which
-core.half_split_matrix memoizes bit-packed, so every ridge calibration,
-shrinkage estimate and penalty search at the same (n, n_cal) reuses one
-seeded draw per process. A ridge criterion records its n_cal, and its
-shrinkage estimate replays exactly the rows its threshold was set on.
+core.half_split_matrix memoizes bit-packed, so every ridge calibration
+and shrinkage estimate at the same (n, n_cal) reuses one seeded draw per
+process. A ridge criterion records its n_cal, and its shrinkage estimate
+replays exactly the rows its threshold was set on. The ridge penalty is
+set from the covariates alone (default_lambda), following Branson & Shao
+(2021), never from outcome coefficients.
 
 The packed rows never leave this module. One generator, `_term_blocks`,
 unpacks, converts and projects them one 1024-row block at a time, and two
 consumers reduce each block before the next: `_batch_distances` (summed
 or ridge-weighted terms) and `_shrinkage` (per-component sums over all
-and over accepted rows). Calibration, the shrinkage estimate and the
-penalty search, which stacks the weights of its 13 candidates, all use
+and over accepted rows). Calibration and the shrinkage estimate use
 these, so a warm ridge calibration at n = 1000, d = 180 peaks at about
 11 MB of allocation, never the 180 x 10000 terms. Packed and 0/1 rows go
 through the same block product, so a calibration row's distance is the
@@ -235,27 +236,27 @@ def _batch_distances(
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """batch_distances without its checks, for rows of `_term_blocks`: the
-    sum of each row's terms, or with ridge weights (one vector of length p,
-    or a stack of them) the weighted sum, one row of distances per vector."""
+    sum of each row's terms, or with ridge weights (a vector of length p)
+    the weighted sum."""
     blocks = _term_blocks(basis, w, n_t, k)
     parts = [t.sum(axis=0) if weights is None else weights @ t for t in blocks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresholds) -> np.ndarray:
+def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, threshold) -> np.ndarray:
     """Monte Carlo per-component variance ratio on the exact-split rows w:
     mean term over the rows whose `_batch_distances` value under weights
-    is at most the threshold, over the mean term of all rows. One row of
-    ratios per weight vector (and threshold), 1 where none is accepted."""
-    shape = np.shape(thresholds)
-    total, kept, n_acc = np.zeros(basis.p), np.zeros(shape + (basis.p,)), np.zeros(shape)
+    is at most the threshold, over the mean term of all rows; all ones
+    when no row is accepted."""
+    total, kept, n_acc = np.zeros(basis.p), np.zeros(basis.p), 0.0
     for t in _term_blocks(basis, w, (basis.n + 1) // 2):
-        acc = (weights @ t <= np.expand_dims(thresholds, -1)).astype(float)
+        acc = (weights @ t <= threshold).astype(float)
         total += t.sum(axis=1)
         kept += acc @ t.T
-        n_acc += acc.sum(axis=-1)
-    n_acc = n_acc[..., None]
-    return np.where(n_acc > 0, kept / np.maximum(n_acc, 1) / (total / len(w)), 1.0)
+        n_acc += acc.sum()
+    if n_acc == 0:
+        return np.ones(basis.p)
+    return kept / n_acc / (total / len(w))
 
 
 def batch_distances(
@@ -289,61 +290,15 @@ def batch_distances(
     return _batch_distances(basis, w, n_t, criterion.k, weights)
 
 
-def _beta_components(basis: SpectralBasis, beta) -> np.ndarray:
-    """V'beta for outcome coefficients beta, a finite vector of length d."""
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (basis.d,) or not np.isfinite(b).all():
-        raise ValueError(f"beta must be a finite vector of length d = {basis.d}")
-    return basis.v.T @ b
-
-
 def default_lambda(basis: SpectralBasis) -> float:
-    """Documented default ridge penalty: C_n times the smallest retained
-    squared singular value, i.e. the smallest eigenvalue of Sigma."""
+    """The ridge penalty: C_n times the smallest retained squared singular
+    value, i.e. the smallest eigenvalue of Sigma (Branson & Shao 2021)."""
     n = basis.n
     return sigma_factor(n - n // 2, n // 2) * float(basis.singular_values[-1] ** 2)
 
 
-def choose_lambda(
-    basis: SpectralBasis,
-    p_a: float,
-    beta=None,
-    n_cal: int = 10000,
-) -> float:
-    """Heuristic ridge penalty selection.
-
-    Without beta, returns the documented default (smallest eigenvalue of
-    Sigma). With beta, grid-searches powers of ten around that default and
-    scores each candidate by the predicted reduction
-    sum_j (1 - xi_j) sigma_j^2 (V'beta)_j^2, with xi_j the Monte Carlo
-    per-component shrinkage on the first n_cal rows of the calibration
-    stream, the sample ridge thresholds are set on. This
-    is a stand-in for exact penalty optimization, which has no closed
-    form here. The 13 candidates are scored together: one block pass for
-    their distances and thresholds, one for their shrinkage. A tie within
-    1e-12 keeps the smaller penalty.
-    """
-    base = default_lambda(basis)
-    if beta is None:
-        return base
-    if not 0.0 < p_a < 1.0:
-        raise ValueError("p_a must lie strictly inside (0, 1)")
-    if n_cal < 1:
-        raise ValueError("n_cal must be at least 1")
-    btil2 = _beta_components(basis, beta) ** 2
-    c_n = sigma_factor(basis.n - basis.n // 2, basis.n // 2)
-    lams = [base * 10.0**g for g in range(-6, 7)]
-    weights = np.stack([_ridge_weights(basis, c_n, lam) for lam in lams])
-    rows = half_split_matrix(basis.n, n_cal, _CALIBRATION_STREAM)
-    dists = _batch_distances(basis, rows, (basis.n + 1) // 2, weights=weights)
-    xi = _shrinkage(basis, rows, weights, np.quantile(dists, p_a, axis=1))
-    scores = ((1.0 - xi) * basis.singular_values**2 * btil2).sum(axis=1)
-
-    best_lam, best_score = base, -np.inf
-    for lam, score in zip(lams, scores):
-        if score > best_score + 1e-12:
-            best_lam, best_score = lam, score
-    return best_lam
+# Kept only because perfbench/spans.py traces balance.choose_lambda by name.
+choose_lambda = default_lambda
 
 
 def calibrate(
@@ -435,7 +390,12 @@ def predict_reduction(
     """
     if criterion.scheme != "cr" and criterion.threshold is None:
         raise ValueError("criterion has no calibrated threshold")
-    btil = None if beta is None else _beta_components(basis, beta)
+    btil = None
+    if beta is not None:
+        b = np.asarray(beta, dtype=float)
+        if b.shape != (basis.d,) or not np.isfinite(b).all():
+            raise ValueError(f"beta must be a finite vector of length d = {basis.d}")
+        btil = basis.v.T @ b
     shrink_value = criterion.shrinkage
     if criterion.scheme == "ridge":
         rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)

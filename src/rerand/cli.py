@@ -256,11 +256,12 @@ def _grid_from_config(cfg: _Config) -> FactorGrid:
     for req in ("n", "d", "rho"):
         if req not in cfg:
             raise ValueError(f"{cfg.path}: config is missing required key {req!r}")
-    return FactorGrid(**{
-        name: cfg.parse(key, parse)
-        for key, (name, parse) in _GRID_KEYS.items()
-        if key in cfg
-    })
+    values = {name: cfg.parse(key, parse)
+              for key, (name, parse) in _GRID_KEYS.items() if key in cfg}
+    try:
+        return FactorGrid(**values)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.path}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

@@ -15,7 +15,6 @@ from rerand.balance import (
     _term_blocks,
     batch_distances,
     calibrate,
-    choose_lambda,
     default_lambda,
     mahalanobis,
     mahalanobis_pca,
@@ -526,8 +525,8 @@ class TestCalibrate:
         assert crit.threshold == float(np.quantile(batch_distances(crit, basis, rows), 0.05))
 
     def test_ridge_draw_is_reused(self):
-        # calibrations, the shrinkage estimate and the penalty search on one
-        # basis share the memoized 10000-row draw of the calibration stream
+        # calibrations and the shrinkage estimate on one basis share the
+        # memoized 10000-row draw of the calibration stream
         x, basis = _setup(60, 6, 76)
         _stream_rows.cache_clear()
         a = calibrate("ridge", 0.05, basis, lam=0.1)
@@ -535,8 +534,7 @@ class TestCalibrate:
         assert a.threshold == b.threshold
         assert _stream_rows.cache_info()[:2] == (1, 1)  # hits, misses
         predict_reduction(a, basis)
-        choose_lambda(basis, 0.05, beta=np.ones(6))
-        assert _stream_rows.cache_info()[:2] == (3, 1)
+        assert _stream_rows.cache_info()[:2] == (2, 1)
 
     def test_quantile_and_shrinkage_are_memoized(self):
         # repeated calibrations of one cell reuse the chi-square quantile and
@@ -584,31 +582,6 @@ class TestCalibrate:
         assert retained <= 2.5e6 and peak < 50e6
 
 
-def _whole_matrix_choose_lambda(basis, p_a, beta, n_cal):
-    # The penalty search as it ran on the whole p x n_cal terms matrix, one
-    # candidate at a time: a reference for the stacked block passes.
-    n, n_t = basis.n, (basis.n + 1) // 2
-    rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM.generator()).astype(float)
-    terms = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1) * (basis.u.T @ rows.T) ** 2
-    base = default_lambda(basis)
-    c_n = sigma_factor(n - n // 2, n // 2)
-    btil2 = (basis.v.T @ np.asarray(beta, dtype=float)) ** 2
-    sig2 = basis.singular_values**2
-    mean_terms = terms.mean(axis=1)
-    best_lam, best_score = base, -np.inf
-    for g in range(-6, 7):
-        lam = base * 10.0**g
-        dists = _ridge_weights(basis, c_n, lam) @ terms
-        acc = dists <= float(np.quantile(dists, p_a))
-        if not acc.any():
-            continue
-        xi = terms[:, acc].mean(axis=1) / mean_terms
-        score = float(((1.0 - xi) * sig2 * btil2).sum())
-        if score > best_score + 1e-12:
-            best_lam, best_score = lam, score
-    return best_lam
-
-
 class TestLambdaSelection:
     def test_default_is_smallest_eigenvalue_scaled(self):
         x, basis = _setup(30, 5, 49)
@@ -616,60 +589,19 @@ class TestLambdaSelection:
         expected = sigma_factor(n // 2, n // 2) * basis.singular_values[-1] ** 2
         assert default_lambda(basis) == pytest.approx(expected, rel=1e-12)
 
-    def test_no_beta_returns_default(self):
-        x, basis = _setup(30, 5, 50)
-        assert choose_lambda(basis, 0.05) == default_lambda(basis)
-
-    def test_beta_search_stays_on_grid(self):
-        x, basis = _setup(40, 6, 51)
-        lam = choose_lambda(basis, 0.05, beta=np.ones(6), n_cal=2000)
-        assert lam > 0
-        g = np.log10(lam / default_lambda(basis))
-        assert abs(g - round(g)) < 1e-9
-        assert -6 <= round(g) <= 6
-
-    @pytest.mark.parametrize("n, d, n_cal, p_a", [
-        (40, 6, 2000, 0.05), (62, 10, 1025, 0.1), (100, 50, 2049, 0.05),
-        (200, 180, 3000, 0.05), (120, 30, 10000, 0.2),
-    ])
-    def test_beta_search_matches_the_whole_matrix_search(self, n, d, n_cal, p_a):
-        x, basis = _setup(n, d, n + d)
-        beta = np.random.default_rng(d).standard_normal(d)
-        want = _whole_matrix_choose_lambda(basis, p_a, beta, n_cal)
-        assert choose_lambda(basis, p_a, beta=beta, n_cal=n_cal) == want
-
-    def test_beta_search_memory_budget(self):
-        # The 13 candidates are scored in two block passes over the packed
-        # draw; holding the whole 180 x 10000 terms matrix peaked at 25 MB.
-        x, basis = _setup(1000, 180, 72)
-        calibrate("ridge", 0.05, basis)  # memoizes the packed draw
-        tracemalloc.start()
-        try:
-            choose_lambda(basis, 0.05, beta=np.ones(180))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
-
     @pytest.mark.parametrize("beta", [
         [np.nan] * 6, [np.inf] + [1.0] * 5, np.ones(5), np.ones(7), np.ones((6, 1)), 2.0,
     ])
     def test_bad_beta_rejected(self, beta):
-        # a NaN beta gave a NaN predicted reduction and the default penalty
+        # a NaN beta gave a NaN predicted reduction
         x, basis = _setup(40, 6, 51)
         ridge = calibrate("ridge", 0.05, basis, n_cal=500)
         for call in (
-            lambda: choose_lambda(basis, 0.05, beta=beta, n_cal=500),
             lambda: predict_reduction(ridge, basis, beta=beta),
             lambda: predict_reduction(calibrate("rer", 0.05, basis), basis, beta=beta),
         ):
             with pytest.raises(ValueError, match="finite vector of length d = 6"):
                 call()
-
-    def test_beta_search_needs_a_calibration_row(self):
-        x, basis = _setup(40, 6, 51)
-        with pytest.raises(ValueError, match="n_cal must be at least 1"):
-            choose_lambda(basis, 0.05, beta=np.ones(6), n_cal=0)
 
 
 class TestPredictReduction:

@@ -289,6 +289,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(master), "--out", out]) == 1
         assert "unknown key 'master_n'" in capsys.readouterr().err
 
+        # a setting the grid rejects names the file
+        for extra, why in (
+            ("tau = nan\n", "tau must be finite"),
+            ("max_draws = 0\n", "max_draws must be at least 1"),
+            ("resid_vars = inf\n", "residual variances must be finite and nonnegative"),
+            ("replications = 7\ngroups = 5\n", "replications must be divisible by groups"),
+        ):
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text("n = 16\nd = 3\nrho = 0.5\n" + extra)
+            assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}: {why}\n"
+
         assert main(["simulate", "--out", out]) == 1
 
     def test_bad_value_names_the_file_line_and_key(self, tmp_path, capsys):

@@ -2,9 +2,10 @@
 domain types that take only their arrays.
 
 perfbench/spans.py wraps every name in its LAYERS table and reads the
-n_cal and beta arguments of the calibration functions by name, so a
-rename or deletion there passes the unit tests but breaks a traced
-benchmark run. The table is read from that file, not copied.
+n_cal argument of calibrate by name, so a rename or deletion there passes
+the unit tests but breaks a traced benchmark run. Its table still lists
+balance.choose_lambda, now the name of the one penalty rule,
+default_lambda. The table is read from that file, not copied.
 """
 
 import importlib
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from rerand.balance import calibrate, choose_lambda
+from rerand import balance
+from rerand.balance import calibrate
 from rerand.core import Allocation, CovariateMatrix, make_allocation, standardize
 from rerand.simharness import FactorGrid
 from rerand.spectral import ComponentSelection, SpectralBasis, decompose, select_k
@@ -41,7 +43,7 @@ def test_every_traced_name_exists():
 
 def test_calibration_spans_bind_their_arguments():
     assert "n_cal" in inspect.signature(calibrate).parameters
-    assert {"n_cal", "beta"} <= set(inspect.signature(choose_lambda).parameters)
+    assert balance.choose_lambda is balance.default_lambda
 
 
 def test_domain_types_take_only_their_arrays():
