@@ -215,6 +215,7 @@ _GRID_KEYS = {
     "tau": ("tau", float),
     "max_draws": ("max_draws", int),
 }
+_FIELD_KEYS = {name: key for key, (name, _) in _GRID_KEYS.items()}
 
 
 class _Config(dict):
@@ -260,8 +261,10 @@ def _grid_from_config(cfg: _Config) -> FactorGrid:
               for key, (name, parse) in _GRID_KEYS.items() if key in cfg}
     try:
         return FactorGrid(**values)
-    except ValueError as exc:
-        raise ValueError(f"{cfg.path}: {exc}") from None
+    except ValueError as exc:  # one field's error names its key's line
+        key = _FIELD_KEYS.get(getattr(exc, "field", None))
+        where = f"{cfg.path}:{cfg.lines[key]}" if key in cfg else cfg.path
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

@@ -232,14 +232,20 @@ def standardize(raw) -> CovariateMatrix:
     a = _as_float_matrix(raw)
     if a.shape[0] < 2:
         raise ValueError("need at least two rows to standardize")
-    means = a.mean(axis=0)
-    sds = a.std(axis=0, ddof=1)
+    return CovariateMatrix(_standardize(a))
+
+
+def _standardize(a: np.ndarray) -> np.ndarray:
+    """standardize's values for every (n, d) matrix of a finite float
+    (..., n, d) stack, n >= 2, each with the bits of a one-matrix call."""
+    means = a.mean(axis=-2, keepdims=True)
+    sds = a.std(axis=-2, ddof=1, keepdims=True)
     constant = sds <= _CONSTANT_SD_TOL * np.maximum(1.0, np.abs(means))
     safe = np.where(constant, 1.0, sds)
     vals = a - means
     vals /= safe
-    vals[:, constant] = 0.0
-    return CovariateMatrix(vals)
+    np.copyto(vals, 0.0, where=constant)
+    return vals
 
 
 def group_means(x: CovariateMatrix, w: Allocation) -> GroupMeans:
@@ -249,11 +255,7 @@ def group_means(x: CovariateMatrix, w: Allocation) -> GroupMeans:
     """
     if w.n != x.n:
         raise ValueError("allocation length disagrees with covariate rows")
-    if w.n_treated == 0 or w.n_control == 0:
-        raise ValueError("both groups must be nonempty")
-    mask = np.asarray(w.assignment, dtype=bool)
-    t = x.values[mask].mean(axis=0)
-    c = x.values[~mask].mean(axis=0)
+    t, c = _arm_means(x.values, np.asarray(w.assignment, dtype=bool))
     return GroupMeans(treat_mean=t, control_mean=c, diff=t - c)
 
 
@@ -261,10 +263,26 @@ def sate_estimator(y: Outcome, w: Allocation) -> float:
     """Mean difference of observed outcomes, treated minus control."""
     if y.y.size != w.n:
         raise ValueError("outcome length disagrees with allocation")
-    if w.n_treated == 0 or w.n_control == 0:
+    t, c = _arm_means(y.y, np.asarray(w.assignment, dtype=bool))
+    return float(t - c)
+
+
+def _arm_means(a: np.ndarray, treated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Treated and control means of `a` over its unit axis: the last axis of
+    the (..., n) bool mask `treated`, whose shape leads a's. group_means and
+    sate_estimator are the one-mask case; every row of a stack of masks
+    treats as many units, and gives the bits of a one-row call."""
+    counts = treated.sum(axis=-1)
+    lo, hi = counts.min(), counts.max()
+    if lo == 0 or hi == treated.shape[-1]:
         raise ValueError("both groups must be nonempty")
-    mask = np.asarray(w.assignment, dtype=bool)
-    return float(y.y[mask].mean() - y.y[~mask].mean())
+    if lo != hi:
+        raise ValueError("every allocation of a stack must treat as many units")
+
+    def mean(mask):
+        return a[mask].reshape(*mask.shape[:-1], -1, *a.shape[mask.ndim:]).mean(axis=mask.ndim - 1)
+
+    return mean(treated), mean(~treated)
 
 
 def sigma_factor(n_treated: int, n_control: int) -> float:

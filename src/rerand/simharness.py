@@ -5,6 +5,8 @@ The study reuses leading sub-blocks of one master covariate matrix per
 replication sees the identical covariates and the identical outcome
 noise. Scheme differences are therefore isolated to the allocation,
 which makes the relative metrics precise at small replication counts.
+The kernel (_replications) scores a stack of replications at a time: the
+per-matrix algebra runs once per stack, rejection once per replication.
 
 Reduction metrics are relative to complete randomization on the same
 draws: r_sigma_bar_sq compares the average (over covariates) variance of
@@ -30,15 +32,15 @@ from .core import (
     CovariateMatrix,
     Outcome,
     RngStream,
+    _arm_means,
+    _standardize,
     as_generator,
-    group_means,
-    sate_estimator,
     standardize,
     write_csv,
     write_json,
 )
 from .engine import DEFAULT_MAX_DRAWS, rerandomize
-from .spectral import decompose, select_k
+from .spectral import _decompose_stack, _select_k
 
 RERAND_SCHEMES = ("rer", "ridge", "pca")
 SURFACES = ("linear", "exp")
@@ -46,6 +48,17 @@ BETA_CHOICES = ("ones", "half_doubled", "spectral")
 
 # Stream tags keeping covariate, noise, and allocation randomness apart.
 _COV, _NOISE, _ALLOC = 1, 2, 3
+
+# The study kernel stacks replications while their master matrices fit in
+# this many bytes: 16 at desk's 100 x 10, one at the factorial's 1000 x 180.
+_STACK_BYTES = 1 << 17
+
+
+def _field_error(name: str, message: str) -> ValueError:
+    """A ValueError about one FactorGrid field, named by its `field` attribute."""
+    exc = ValueError(message)
+    exc.field = name
+    return exc
 
 
 @dataclass(frozen=True)
@@ -78,36 +91,33 @@ class FactorGrid:
         for name in ("n_levels", "d_levels", "rho_levels", "schemes",
                      "surfaces", "beta_choices", "resid_vars"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+                raise _field_error(name, f"{name} must be nonempty")
         if any(n < 2 or n % 2 for n in self.n_levels):
-            raise ValueError("n levels must be even and at least 2")
+            raise _field_error("n_levels", "n levels must be even and at least 2")
         if any(d < 1 for d in self.d_levels):
-            raise ValueError("d levels must be positive")
+            raise _field_error("d_levels", "d levels must be positive")
         if any(not 0.0 <= r < 1.0 for r in self.rho_levels):
-            raise ValueError("rho levels must lie in [0, 1)")
-        bad = set(self.schemes) - set(RERAND_SCHEMES)
-        if bad:
-            raise ValueError(f"unknown schemes: {sorted(bad)}")
-        bad = set(self.surfaces) - set(SURFACES)
-        if bad:
-            raise ValueError(f"unknown surfaces: {sorted(bad)}")
-        bad = set(self.beta_choices) - set(BETA_CHOICES)
-        if bad:
-            raise ValueError(f"unknown beta choices: {sorted(bad)}")
+            raise _field_error("rho_levels", "rho levels must lie in [0, 1)")
+        for name, known in (("schemes", RERAND_SCHEMES), ("surfaces", SURFACES),
+                            ("beta_choices", BETA_CHOICES)):
+            bad = set(getattr(self, name)) - set(known)
+            if bad:
+                raise _field_error(name, f"unknown {name.replace('_', ' ')}: {sorted(bad)}")
         if any(not 0.0 <= v < np.inf for v in self.resid_vars):
-            raise ValueError("residual variances must be finite and nonnegative")
+            raise _field_error("resid_vars", "residual variances must be finite and nonnegative")
         if self.groups < 1 or self.replications < 1:
             raise ValueError("replications and groups must be positive")
         if self.replications % self.groups:
             raise ValueError("replications must be divisible by groups")
         if not 0.0 < self.p_a < 1.0 or not 0.0 < self.gamma < 1.0:
-            raise ValueError("p_a and gamma must lie strictly inside (0, 1)")
+            name = "gamma" if 0.0 < self.p_a < 1.0 else "p_a"
+            raise _field_error(name, "p_a and gamma must lie strictly inside (0, 1)")
         if self.lam is not None:
             _check_lambda(self.lam)
         if not np.isfinite(self.tau):
-            raise ValueError("tau must be finite")
+            raise _field_error("tau", "tau must be finite")
         if self.max_draws < 1:
-            raise ValueError("max_draws must be at least 1")
+            raise _field_error("max_draws", "max_draws must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,18 @@ def gen_covariates(n: int, d: int, rho: float, rng) -> CovariateMatrix:
             "rho must lie in [0, 1): the one-factor construction "
             "requires rho >= 0"
         )
-    gen = as_generator(rng)
-    z0 = gen.standard_normal(n)
-    z = gen.standard_normal((n, d))
-    raw = np.sqrt(rho) * z0[:, None] + np.sqrt(1.0 - rho) * z
-    return standardize(raw)
+    return standardize(_one_factor([as_generator(rng)], n, d, rho)[0])
+
+
+def _one_factor(gens, n: int, d: int, rho: float) -> np.ndarray:
+    """gen_covariates' raw draw, one n x d matrix per generator, stacked."""
+    z0, z = np.empty((len(gens), n, 1)), np.empty((len(gens), n, d))
+    for gen, a, b in zip(gens, z0, z):
+        gen.standard_normal(out=a[:, 0])
+        gen.standard_normal(out=b)
+    z *= np.sqrt(1.0 - rho)
+    z += np.sqrt(rho) * z0
+    return z
 
 
 def nested_submatrix(master: CovariateMatrix, n_sub: int, d_sub: int) -> CovariateMatrix:
@@ -200,16 +217,16 @@ def gen_outcome(x: CovariateMatrix, w: Allocation, model: OutcomeModel, rng) -> 
         raise ValueError("beta length disagrees with covariate count")
     if w.n != x.n:
         raise ValueError("allocation length disagrees with covariate rows")
-    g = _surface_values(x, model.surface, beta)
+    g = _surface_values(x.values, model.surface, beta)
     eps = model.resid_sd * as_generator(rng).standard_normal(x.n)
     y = g + model.tau * np.asarray(w.assignment, dtype=float) + eps
     return Outcome(y=y)
 
 
-def _surface_values(x: CovariateMatrix, surface: str, beta: np.ndarray) -> np.ndarray:
-    if surface == "linear":
-        return x.values @ beta
-    return np.exp(x.values) @ beta
+def _surface_values(a: np.ndarray, surface: str, beta: np.ndarray) -> np.ndarray:
+    """g(x_i, beta) for every row of a, or of each matrix of an (R, n, d)
+    stack with its own row of an (R, d) beta."""
+    return np.matmul(a if surface == "linear" else np.exp(a), beta[..., None])[..., 0]
 
 
 def beta_vector(choice: str, d: int, basis=None, k: int | None = None) -> np.ndarray:
@@ -237,17 +254,17 @@ def beta_vector(choice: str, d: int, basis=None, k: int | None = None) -> np.nda
     raise ValueError(f"unknown beta choice {choice!r}")
 
 
-class _CellDraw(NamedTuple):
-    """One replication's values for one (n, d) cell. Per-scheme rows
-    follow ("cr",) + grid.schemes, model columns follow _layout."""
+class _CellDraws(NamedTuple):
+    """Consecutive replications of one (n, d) cell on the last axis (diff: the
+    middle one); scheme rows follow ("cr",) + grid.schemes, models _layout."""
 
-    k: int
-    diff: np.ndarray  # (schemes, d) covariate mean differences
-    tau_hat: np.ndarray  # (schemes, models) effect estimates
-    seconds: np.ndarray  # (schemes,) calibration plus rejection time
-    v_ak: np.ndarray  # (schemes,) shrinkage coefficient, NaN if none
-    exhausted: np.ndarray  # (schemes,) rejection ran out of draws
-    draws: np.ndarray  # (schemes,) draws attempted, 1 for cr
+    k: np.ndarray  # (reps,) selected component count
+    diff: np.ndarray  # (schemes, reps, d) covariate mean differences
+    tau_hat: np.ndarray  # (schemes, models, reps) effect estimates
+    seconds: np.ndarray  # (schemes, reps) calibration plus rejection time
+    v_ak: np.ndarray  # (schemes, reps) shrinkage coefficient, NaN if none
+    exhausted: np.ndarray  # (schemes, reps) rejection ran out of draws
+    draws: np.ndarray  # (schemes, reps) draws attempted, 1 for cr
 
 
 def _layout(grid: FactorGrid):
@@ -262,96 +279,106 @@ def _layout(grid: FactorGrid):
     return cells, schemes, models
 
 
-def _replication(grid: FactorGrid, root: RngStream, rho_idx: int, rep: int) -> list[_CellDraw]:
-    """Score every scheme in every cell on one (rho, replication) draw.
+def _stack_size(grid: FactorGrid) -> int:
+    """Replications per kernel call: the master matrices that fit in _STACK_BYTES, at least one."""
+    return max(1, _STACK_BYTES // (8 * max(grid.n_levels) * max(grid.d_levels)))
 
-    The covariate matrix, the selected basis and the outcome noise are
-    shared by every scheme; each scheme only contributes its allocation.
-    The result depends on the arguments alone, apart from the timings.
+
+def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
+    """The study kernel: every scheme in every cell, scored on a stack of
+    consecutive replications of one rho level, as one _CellDraws per cell.
+
+    Each replication draws its covariates, outcome noise and one allocation
+    per (cell, scheme) from its own streams; its schemes share covariates,
+    basis and noise. Calibration and rejection run per replication and
+    scheme. Standardizing, the SVD, selecting k, the signals, group means
+    and estimates run once per stack on (reps, n, d) and (reps, n) arrays,
+    with the bits of each replication alone, so the stacking changes no
+    output. The result depends on the arguments alone, apart from timings.
     """
     cells, schemes, models = _layout(grid)
-    master = gen_covariates(
-        max(grid.n_levels), max(grid.d_levels), grid.rho_levels[rho_idx],
-        root.child(_COV).child(rho_idx).child(rep),
-    )
-    noise = root.child(_NOISE).child(rho_idx).child(rep).generator().standard_normal(master.n)
-    alloc_root = root.child(_ALLOC).child(rho_idx).child(rep)
+    n_max, d_max, size = max(grid.n_levels), max(grid.d_levels), len(reps)
+    gens = [root.child(_COV).child(rho_idx).child(rep).generator() for rep in reps]
+    master = _standardize(_one_factor(gens, n_max, d_max, grid.rho_levels[rho_idx]))
+    noise = np.empty((size, n_max))
+    for rep, row in zip(reps, noise):
+        root.child(_NOISE).child(rho_idx).child(rep).generator().standard_normal(out=row)
 
-    draws = []
+    out = []
     for ci, (n, d) in enumerate(cells):
-        x = nested_submatrix(master, n, d)
-        basis = decompose(x)
-        k = select_k(basis, grid.gamma).k
-        betas = {bc: beta_vector(bc, d, basis=basis, k=k) for bc in grid.beta_choices}
-        signal = {
-            (surf, bc): _surface_values(x, surf, betas[bc])
-            for surf in grid.surfaces
-            for bc in grid.beta_choices
-        }
+        x = _standardize(master[:, :n, :d])
+        s, bases = _decompose_stack(x)
+        ps, ks = np.array([b.p for b in bases]), np.empty(size, dtype=int)
+        for p in np.unique(ps):
+            ks[ps == p] = _select_k(s[ps == p, :p], grid.gamma)[0]
+        signal = {}
+        for bc in grid.beta_choices:
+            beta = np.array([beta_vector(bc, d, basis=b, k=k) for b, k in zip(bases, ks.tolist())])
+            for surf in grid.surfaces:
+                signal[surf, bc] = _surface_values(x, surf, beta)
 
-        cell = _CellDraw(
-            k, np.empty((len(schemes), d)), np.empty((len(schemes), len(models))),
-            np.empty(len(schemes)), np.full(len(schemes), np.nan),
-            np.zeros(len(schemes), dtype=bool), np.empty(len(schemes)),
-        )
-        for si, scheme in enumerate(schemes):
-            # Per-allocation cost includes threshold calibration: each
-            # replication's matrix needs its own criterion, and for ridge
-            # that is a Monte Carlo step.
-            t0 = time.perf_counter()
-            crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
-            res = rerandomize(x, crit, alloc_root.child(ci).child(si), grid.max_draws, basis=basis)
-            cell.seconds[si] = time.perf_counter() - t0
-            w = res.allocation
-            cell.exhausted[si] = scheme != "cr" and not res.accepted
-            cell.draws[si] = res.draws_attempted
-            cell.diff[si] = group_means(x, w).diff
-            v_ak = crit.shrinkage
-            if v_ak is not None:
-                cell.v_ak[si] = v_ak
-            treat = grid.tau * np.asarray(w.assignment, dtype=float)
-            for mi, (surf, bc, rv) in enumerate(models):
-                y = Outcome(signal[(surf, bc)] + treat + np.sqrt(rv) * noise[:n])
-                cell.tau_hat[si, mi] = sate_estimator(y, w)
-        draws.append(cell)
-    return draws
+        shape = (len(schemes), size)
+        w = np.empty(shape + (n,), dtype=np.int8)
+        seconds, v_ak = np.empty(shape), np.full(shape, np.nan)
+        exhausted, draws = np.zeros(shape, dtype=bool), np.empty(shape, dtype=int)
+        for r, (rep, basis, k) in enumerate(zip(reps, bases, ks.tolist())):
+            xr, alloc = CovariateMatrix(x[r]), root.child(_ALLOC).child(rho_idx).child(rep)
+            for si, scheme in enumerate(schemes):
+                # Per-allocation cost includes threshold calibration: each
+                # replication's matrix needs its own criterion, and for ridge
+                # that is a Monte Carlo step.
+                t0 = time.perf_counter()
+                crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                res = rerandomize(xr, crit, alloc.child(ci).child(si), grid.max_draws, basis=basis)
+                seconds[si, r] = time.perf_counter() - t0
+                w[si, r] = res.allocation.assignment
+                exhausted[si, r] = scheme != "cr" and not res.accepted
+                draws[si, r] = res.draws_attempted
+                if crit.shrinkage is not None:
+                    v_ak[si, r] = crit.shrinkage
+
+        treated = w.view(bool)
+        diff = np.array([np.subtract(*_arm_means(x, mask)) for mask in treated])
+        y = np.array([signal[surf, bc] for surf, bc, _ in models]) + grid.tau * w[:, None]
+        y += np.sqrt([rv for _, _, rv in models])[:, None, None] * noise[:, :n]
+        y = Outcome(y).y  # (schemes, models, reps, n), checked finite once
+        tau_hat = np.subtract(*_arm_means(y, np.broadcast_to(treated[:, None], y.shape)))
+        out.append(_CellDraws(ks, diff, tau_hat, seconds, v_ak, exhausted, draws))
+    return out
 
 
-def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
+def _reduce(report: SimReport, rho: float, stacks: list[list[_CellDraws]]) -> None:
     """Add one rho level's records, group metrics and timings to report.
 
-    Replications are reshaped to (groups, block) on the axes they occupy
-    per scheme and model, so every sum runs in the order of a reduction
-    over one contiguous group block: the variance sums sequentially over
-    a non-innermost axis, the MSE pairwise over the innermost one.
+    stacks holds the kernel's output for consecutive stacks of replications.
+    Each cell's stacks are joined into C-contiguous arrays, reshaped to
+    (groups, block) on the replication axis, so every sum runs in the order
+    of a reduction over one contiguous group block: the variance sums
+    sequentially over a non-innermost axis, the MSE pairwise over the
+    innermost one.
     """
     grid = report.grid
     cells, schemes, models = _layout(grid)
-    groups = (grid.groups, grid.replications // grid.groups)
-    for ci, (n, d) in enumerate(cells):
-        draws = [rep[ci] for rep in reps]
-        ks = np.array([c.k for c in draws])
-        diff = np.stack([c.diff for c in draws], axis=1).reshape(len(schemes), *groups, d)
-        var = diff.var(axis=2, ddof=1).mean(axis=-1)
+    reps, groups = grid.replications, (grid.groups, grid.replications // grid.groups)
+    for (n, d), parts in zip(cells, zip(*stacks)):
+        c = _CellDraws(*(np.concatenate(arrays, axis=-2 if name == "diff" else -1)
+                         for name, arrays in zip(_CellDraws._fields, zip(*parts))))
+        var = c.diff.reshape(len(schemes), *groups, d).var(axis=2, ddof=1).mean(axis=-1)
         r_sigma = 1.0 - var / var[0]
-        tau_hat = np.stack([c.tau_hat for c in draws], axis=-1)
-        mse = ((tau_hat.reshape(len(schemes), len(models), *groups) - grid.tau) ** 2).mean(axis=-1)
+        mse = ((c.tau_hat.reshape(len(schemes), len(models), *groups) - grid.tau) ** 2).mean(-1)
         r_mse = 1.0 - mse / mse[0]
-        seconds = np.stack([c.seconds for c in draws], axis=-1)
-        v_ak = np.stack([c.v_ak for c in draws], axis=-1)
-        exhausted = np.sum([c.exhausted for c in draws], axis=0)
-        total_draws = np.sum([c.draws for c in draws], axis=0)
-        mean_draws = total_draws / len(draws)
+        exhausted, total_draws = c.exhausted.sum(axis=-1), c.draws.sum(axis=-1)
+        mean_draws = total_draws / reps
         # every replication that did not exhaust accepted exactly once
-        accept_rate = (len(draws) - exhausted) / total_draws
-        k_modal, k_mean = int(np.bincount(ks).argmax()), float(ks.mean())
+        accept_rate = (reps - exhausted) / total_draws
+        k_modal, k_mean = int(np.bincount(c.k).argmax()), float(c.k.mean())
 
         for si, scheme in enumerate(schemes):
             report.sigma_groups[(n, d, rho, scheme)] = r_sigma[si]
             report.timings[(n, d, rho, scheme)] = (
-                float(seconds[si].mean()), float(np.median(seconds[si])),
+                float(c.seconds[si].mean()), float(np.median(c.seconds[si])),
             )
-            vak = None if np.all(np.isnan(v_ak[si])) else float(np.nanmean(v_ak[si]))
+            vak = None if np.all(np.isnan(c.v_ak[si])) else float(np.nanmean(c.v_ak[si]))
             pca = scheme == "pca"
             for mi, (surf, bc, rv) in enumerate(models):
                 report.mse_groups[(n, d, rho, surf, bc, rv, scheme)] = r_mse[si, mi]
@@ -372,15 +399,20 @@ def _reduce(report: SimReport, rho: float, reps: list[list[_CellDraw]]) -> None:
 def run_study(grid: FactorGrid, master_seed: int) -> SimReport:
     """Run the factorial study and assemble per-cell records.
 
-    Each (rho, replication) is one call of the per-replication kernel;
-    metrics are computed per replication group against the
-    complete-randomization baseline, then averaged.
+    Each rho level's replications run through the study kernel in stacks
+    of consecutive replications (_stack_size of them); metrics are computed
+    per replication group against the complete-randomization baseline,
+    then averaged.
     """
     root = RngStream(int(master_seed))
     report = SimReport(grid=grid, master_seed=int(master_seed), records=[])
+    step = _stack_size(grid)
     for rho_idx, rho in enumerate(grid.rho_levels):
-        reps = [_replication(grid, root, rho_idx, rep) for rep in range(grid.replications)]
-        _reduce(report, rho, reps)
+        stacks = [
+            _replications(grid, root, rho_idx, range(lo, min(lo + step, grid.replications)))
+            for lo in range(0, grid.replications, step)
+        ]
+        _reduce(report, rho, stacks)
     return report
 
 

@@ -61,24 +61,33 @@ def decompose(x: CovariateMatrix) -> SpectralBasis:
     a = x.values
     if not np.all(np.isfinite(a)):
         raise ValueError("covariate matrix contains non-finite entries")
+    return _decompose_stack(a[None])[1][0]
+
+
+def _decompose_stack(a: np.ndarray) -> tuple[np.ndarray, list[SpectralBasis]]:
+    """decompose for each matrix of a finite (R, n, d) stack, in one SVD call:
+    the (R, min(n, d)) singular values and one basis per matrix, with the bits
+    of a one-matrix call. Bases are views of the stacked factors, apart from a
+    truncated u, copied so that u stays C-contiguous as LAPACK gave it."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if np.any(s[:, 0] == 0.0):
         raise ValueError("zero matrix has no spectral basis")
-    p = int(np.sum(s > np.finfo(float).eps * max(x.n, x.d) * s[0]))
-    if p == 0:
+    ps = np.sum(s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1], axis=1)
+    if np.any(ps == 0):
         raise ValueError("no singular values above tolerance")
-    # A truncated u is copied, so that u stays C-contiguous as LAPACK gave it.
-    u, s, v = np.ascontiguousarray(u[:, :p]), s[:p], vt[:p].T
 
     # Sign convention: dominant entry of each right singular vector positive,
     # applied in place to the factors the SVD returned.
-    dominant = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[dominant, np.arange(p)])
+    v = vt.swapaxes(1, 2)
+    dominant = np.argmax(np.abs(v), axis=1)[:, None, :]
+    signs = np.sign(np.take_along_axis(v, dominant, axis=1))
     signs[signs == 0] = 1.0
     v *= signs
     u *= signs
-
-    return SpectralBasis(u=u, singular_values=s, v=v)
+    return s, [
+        SpectralBasis(u=np.ascontiguousarray(u[r, :, :p]), singular_values=s[r, :p], v=v[r, :, :p])
+        for r, p in enumerate(ps.tolist())
+    ]
 
 
 def select_k(basis: SpectralBasis, gamma: float) -> ComponentSelection:
@@ -88,11 +97,17 @@ def select_k(basis: SpectralBasis, gamma: float) -> ComponentSelection:
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly inside (0, 1)")
-    energy = basis.singular_values**2
-    explained = np.cumsum(energy) / energy.sum()
-    k = int(np.searchsorted(explained, gamma, side="left")) + 1
-    k = min(k, basis.p)
-    return ComponentSelection(k=k, explained=explained)
+    k, explained = _select_k(basis.singular_values, gamma)
+    return ComponentSelection(k=int(k), explained=explained)
+
+
+def _select_k(s: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """select_k's k and explained ratios along the last axis of (..., p)
+    singular values; each row gives the bits of a one-row call."""
+    energy = s**2
+    explained = np.cumsum(energy, axis=-1) / energy.sum(axis=-1, keepdims=True)
+    # explained is nondecreasing: the count below gamma is searchsorted's left index
+    return np.minimum(np.sum(explained < gamma, axis=-1) + 1, s.shape[-1]), explained
 
 
 def project(basis: SpectralBasis, k: int, diff: np.ndarray) -> np.ndarray:

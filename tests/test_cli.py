@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,17 +290,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(master), "--out", out]) == 1
         assert "unknown key 'master_n'" in capsys.readouterr().err
 
-        # a setting the grid rejects names the file
-        for extra, why in (
-            ("tau = nan\n", "tau must be finite"),
-            ("max_draws = 0\n", "max_draws must be at least 1"),
-            ("resid_vars = inf\n", "residual variances must be finite and nonnegative"),
-            ("replications = 7\ngroups = 5\n", "replications must be divisible by groups"),
+        # a setting the grid rejects names the file, and the line of the one
+        # key it is about; a rule over two keys names the file alone
+        for extra, where, why in (
+            ("tau = nan\n", ":4", "tau must be finite"),
+            ("max_draws = 0\n", ":4", "max_draws must be at least 1"),
+            ("resid_vars = inf\n", ":4", "residual variances must be finite and nonnegative"),
+            ("pa = 1.5\n", ":4", "p_a and gamma must lie strictly inside (0, 1)"),
+            ("gamma = 0\n", ":4", "p_a and gamma must lie strictly inside (0, 1)"),
+            ("schemes = pca, cr\n", ":4", "unknown schemes: ['cr']"),
+            ("betas = ones, odd\n", ":4", "unknown beta choices: ['odd']"),
+            ("replications = 7\ngroups = 5\n", "", "replications must be divisible by groups"),
+            ("replications = 0\n", "", "replications and groups must be positive"),
         ):
             cfg = tmp_path / "grid.cfg"
             cfg.write_text("n = 16\nd = 3\nrho = 0.5\n" + extra)
             assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
-            assert capsys.readouterr().err == f"error: {cfg}: {why}\n"
+            assert capsys.readouterr().err == f"error: {cfg}{where}: {why}\n"
+        cfg.write_text("# a comment\n\nn = 16, 15\nd = 3\nrho = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: n levels must be even and at least 2\n"
 
         assert main(["simulate", "--out", out]) == 1
 
@@ -431,6 +441,19 @@ class TestDiagnose:
         assert [r[1] for r in prv[1:]] == ["x1", "x2", "x3", "x4"]
         for row in prv[1:]:
             assert -1e-9 <= float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "need at least two rows to standardize"),
+        (0, "covariate matrix must be a nonempty 2-d array"),
+    ])
+    def test_too_few_units(self, tmp_path, capsys, n, message):
+        # the size check runs before any numpy reduction could warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["diagnose", "--n", str(n), "--d", "3", "--rho", "0.5",
+                         "--seed", "1", "--out", str(tmp_path)]) == 1
+        assert not caught
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
     def test_needs_input_or_dims(self, tmp_path, capsys):
         assert main(["diagnose", "--out", str(tmp_path), "--seed", "1"]) == 1

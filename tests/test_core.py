@@ -16,6 +16,7 @@ from rerand.core import (
     CovariateMatrix,
     Outcome,
     RngStream,
+    _arm_means,
     group_means,
     half_split_matrix,
     make_allocation,
@@ -114,6 +115,20 @@ class TestGroupMeans:
         direct = group_means(x, w).diff
         matrix_form = (4.0 / 16) * x.values.T @ np.asarray(w.assignment, float)
         np.testing.assert_allclose(direct, matrix_form, atol=1e-12)
+
+    def test_stacked_masks_give_the_bits_of_one_mask_calls(self):
+        # the study kernel's stacked group means are group_means per row
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 12, 4))
+        masks = np.array([rng.permutation([True] * 5 + [False] * 7) for _ in range(3)])
+        t, c = _arm_means(a, masks)
+        for r in range(3):
+            gm = group_means(CovariateMatrix(a[r]), make_allocation(masks[r].astype(np.int8)))
+            assert t[r].tobytes() == gm.treat_mean.tobytes()
+            assert c[r].tobytes() == gm.control_mean.tobytes()
+        uneven = np.array([[1] * 5 + [0] * 7, [1] * 6 + [0] * 6], dtype=bool)
+        with pytest.raises(ValueError, match="treat as many units"):
+            _arm_means(a[:2], uneven)
 
     def test_errors(self):
         x = _plain_matrix([1.0, 2.0, 3.0, 4.0])

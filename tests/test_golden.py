@@ -16,7 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from rerand.cli import main
+from rerand.cli import _grid_from_config, _parse_config, main
+from rerand.simharness import _stack_size
 
 _ALLOCATE = {
     "cr": {
@@ -46,6 +47,13 @@ _SIMULATE = {
     "metrics.csv": "6bdbe52f7ac86aa5f83d0a0c5b3ca20ba657251adef5b34db03610c2a01962d0",
     "summary.json": "be7f2b2ee309638dd76287af43f8bd1d631f23a83ca3746edfdd1ff855196c62",
 }
+# _STACKED, as the one-replication-at-a-time study kernel wrote it
+_SIMULATE_STACKED = {
+    "anova_r_mse.csv": "fd6f78ccc01fac540e2decbe473a6d92146f97c8c3be66b6d3a9ff6b9262367c",
+    "anova_r_sigma.csv": "82e636d4af079c51bbc14269827150f53856ad7066521e2f2410c266da75224b",
+    "metrics.csv": "ae3a3f7960b89fef3151d49cdd1f1ce8c795ce0883c8cd2aa991dc401bc53999",
+    "summary.json": "095275deba8a364d34acd8eb259af4b7413b80900ff8f4c42d09862edf29a106",
+}
 _DIAGNOSE = {
     "prv.csv": "a75166023610e5df577fa432b455c9bf09f87957cef7779e81dc8542203336ce",
     "report.json": "1dff1b41500f1ecee6b8c7b982546e7cddf65fa6d81b4634199dd58561abb91a",
@@ -62,6 +70,22 @@ surfaces = linear, exp
 replications = 4
 groups = 2
 seed = 5
+"""
+
+# What _STUDY leaves out: two rho levels, every beta, two residual variances,
+# a rank n-1 cell (16 x 16, where rer degenerates), and replications that the
+# study kernel runs as two full stacks and a partial one (see the test).
+_STACKED = """\
+n = 16, 60
+d = 4, 16
+rho = 0.2, 0.7
+schemes = rer, pca
+surfaces = linear, exp
+betas = ones, half_doubled, spectral
+resid_vars = 0.5, 1.0
+replications = 40
+groups = 4
+seed = 11
 """
 
 
@@ -94,6 +118,15 @@ def test_simulate_bytes(tmp_path):
     cfg.write_text(_STUDY)
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert _digests(out) == _SIMULATE
+
+
+def test_simulate_stacked_bytes(tmp_path):
+    cfg, out = tmp_path / "study.cfg", tmp_path / "run"
+    cfg.write_text(_STACKED)
+    stack = _stack_size(_grid_from_config(_parse_config(str(cfg))))
+    assert 40 // stack >= 2 and 40 % stack, stack  # two full stacks and a partial one
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _digests(out) == _SIMULATE_STACKED
 
 
 def test_diagnose_bytes(tmp_path):

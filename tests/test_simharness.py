@@ -2,16 +2,28 @@ import csv
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rerand.core import RngStream, make_allocation, standardize
+from rerand import simharness
+from rerand.balance import calibrate
+from rerand.core import (
+    Outcome, RngStream, group_means, make_allocation, sate_estimator, standardize,
+)
+from rerand.engine import rerandomize
 from rerand.simharness import (
+    _ALLOC,
+    _COV,
+    _NOISE,
+    _STACK_BYTES,
     FactorGrid,
-    _CellDraw,
+    _CellDraws,
     _layout,
     _reduce,
+    _replications,
+    _stack_size,
     OutcomeModel,
     SimReport,
     anova,
@@ -25,7 +37,7 @@ from rerand.simharness import (
     write_summary_json,
     write_timings_csv,
 )
-from rerand.spectral import decompose
+from rerand.spectral import SpectralBasis, decompose, select_k
 
 
 class TestFactorGrid:
@@ -278,9 +290,11 @@ class TestRunStudy:
             assert len(sig) == grid.groups
             assert r.r_sigma_bar_sq == pytest.approx(float(np.mean(sig)), rel=1e-12)
 
-    def test_groups_are_contiguous_replication_blocks(self):
+    def test_groups_are_contiguous_replication_blocks(self, monkeypatch):
         # streams are addressed by (rho_idx, rep), so group 0 of twelve
-        # replications in three groups is the only group of the first four
+        # replications in three groups is the only group of the first four;
+        # stacks of five replications (20 x 3 masters) cross group boundaries
+        monkeypatch.setattr(simharness, "_STACK_BYTES", 5 * 20 * 3 * 8)
         kw = dict(
             rho_levels=(0.5,), schemes=("rer", "ridge", "pca"),
             surfaces=("linear", "exp"), beta_choices=("spectral",),
@@ -295,50 +309,51 @@ class TestRunStudy:
 
     def test_reducer_matches_per_group_loop(self):
         # Reference: one reduction per (scheme, group) on a contiguous
-        # (block, d) slice. The array reducer must sum in the same order,
-        # so the results are bit-equal.
+        # (block, d) slice. The array reducer joins the kernel's stacks and
+        # must sum in the same order, so the results are bit-equal.
         grid = _small_grid(
             d_levels=(1, 9), rho_levels=(0.5,), surfaces=("linear", "exp"),
             replications=60, groups=3,
         )
         cells, schemes, models = _layout(grid)
         rng = np.random.default_rng(113)
-        reps = [
-            [
-                _CellDraw(
-                    1, rng.standard_normal((len(schemes), d)),
-                    1.0 + rng.standard_normal((len(schemes), len(models))),
-                    rng.random(len(schemes)), np.full(len(schemes), np.nan),
-                    rng.random(len(schemes)) < 0.3,
-                    rng.integers(1, 500, len(schemes)).astype(float),
-                )
-                for _, d in cells
-            ]
-            for _ in range(grid.replications)
+        size, reps = (len(schemes), grid.replications), grid.replications
+        full = [
+            _CellDraws(
+                np.ones(reps, dtype=int), rng.standard_normal((*size, d)),
+                1.0 + rng.standard_normal((len(schemes), len(models), reps)),
+                rng.random(size), np.full(size, np.nan), rng.random(size) < 0.3,
+                rng.integers(1, 500, size),
+            )
+            for _, d in cells
+        ]
+        # uneven stacks, whose boundaries are not the group boundaries
+        stacks = [
+            [_CellDraws(*(a[:, lo:hi] if name == "diff" else a[..., lo:hi]
+                          for name, a in zip(_CellDraws._fields, c))) for c in full]
+            for lo, hi in ((0, 25), (25, 27), (27, 60))
         ]
         report = SimReport(grid=grid, master_seed=0, records=[])
-        _reduce(report, 0.5, reps)
+        _reduce(report, 0.5, stacks)
 
         block = grid.replications // grid.groups
-        for ci, (n, d) in enumerate(cells):
-            diffs = [np.array([rep[ci].diff[si] for rep in reps]) for si in range(len(schemes))]
-            taus = np.array([rep[ci].tau_hat for rep in reps])
+        for (n, d), c in zip(cells, full):
             for si, scheme in enumerate(schemes):
                 r_sig, r_mse = np.empty(grid.groups), np.empty((len(models), grid.groups))
                 for g in range(grid.groups):
                     sl = slice(g * block, (g + 1) * block)
-                    var = [diffs[s][sl].var(axis=0, ddof=1).mean() for s in (si, 0)]
+                    var = [c.diff[s, sl].var(axis=0, ddof=1).mean() for s in (si, 0)]
                     r_sig[g] = 1.0 - var[0] / var[1]
                     for mi in range(len(models)):
-                        mse = [np.mean((taus[sl, s, mi] - grid.tau) ** 2) for s in (si, 0)]
+                        mse = [np.mean((c.tau_hat[s, mi, sl] - grid.tau) ** 2) for s in (si, 0)]
                         r_mse[mi, g] = 1.0 - mse[0] / mse[1]
                 got = report.sigma_groups[(n, d, 0.5, scheme)]
                 assert got.tobytes() == r_sig.tobytes()
-                total = sum(rep[ci].draws[si] for rep in reps)
-                accepted = sum(not rep[ci].exhausted[si] for rep in reps)
+                total = sum(c.draws[si].tolist())
+                accepted = sum(not e for e in c.exhausted[si])
                 for r in report.records:
                     if (r.n, r.d, r.scheme) == (n, d, scheme):
-                        assert r.mean_draws == total / len(reps)  # integer sums are exact
+                        assert r.mean_draws == total / reps  # integer sums are exact
                         assert r.accept_rate == accepted / total
                 for mi, (surf, bc, rv) in enumerate(models):
                     got = report.mse_groups[(n, d, 0.5, surf, bc, rv, scheme)]
@@ -354,6 +369,98 @@ class TestRunStudy:
         assert len(ridge) == 1
         assert ridge[0].v_ak is None
         assert ridge[0].exhausted == 0
+
+
+# every scheme, surface, beta and two residual variances, with a rank n-1
+# cell (16 x 16, where rer degenerates) and masters of 20 x 16
+_KERNEL_GRID = dict(
+    n_levels=(16, 20), d_levels=(3, 16), rho_levels=(0.0, 0.5),
+    schemes=("rer", "ridge", "pca"), surfaces=("linear", "exp"),
+    beta_choices=("ones", "half_doubled", "spectral"), resid_vars=(0.5, 1.0),
+    replications=5, groups=1,
+)
+
+
+class TestStudyKernel:
+    def test_stack_boundaries_change_no_bits(self):
+        # replications [0, 5) in one call equal the five one-replication
+        # calls joined, field by field (seconds are wall-clock times)
+        grid, root = FactorGrid(**_KERNEL_GRID), RngStream(115)
+        with pytest.warns(UserWarning, match="degenerates"):
+            whole = _replications(grid, root, 1, range(5))
+            alone = [_replications(grid, root, 1, range(r, r + 1)) for r in range(5)]
+        assert len(whole) == 4
+        for ci, cell in enumerate(whole):
+            for name, got in zip(_CellDraws._fields, cell):
+                parts = [getattr(calls[ci], name) for calls in alone]
+                want = np.concatenate(parts, axis=-2 if name == "diff" else -1)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype), (ci, name)
+                if name != "seconds":
+                    assert got.tobytes() == want.tobytes(), (ci, name)
+
+    def test_matches_the_per_matrix_functions(self):
+        # each replication of a stack has the bits of the public one-matrix
+        # path: gen_covariates, nested_submatrix, decompose, select_k,
+        # group_means and one sate_estimator per (scheme, model)
+        grid, root = FactorGrid(**_KERNEL_GRID), RngStream(116)
+        cells, schemes, models = _layout(grid)
+        with pytest.warns(UserWarning, match="degenerates"):
+            stack = _replications(grid, root, 1, range(3, 6))
+            for r, rep in enumerate(range(3, 6)):
+                master = gen_covariates(20, 16, 0.5, root.child(_COV).child(1).child(rep))
+                noise = root.child(_NOISE).child(1).child(rep).generator().standard_normal(20)
+                for ci, (n, d) in enumerate(cells):
+                    x = nested_submatrix(master, n, d)
+                    basis = decompose(x)
+                    k = select_k(basis, grid.gamma).k
+                    assert stack[ci].k[r] == k
+                    for si, scheme in enumerate(schemes):
+                        crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                        stream = root.child(_ALLOC).child(1).child(rep).child(ci).child(si)
+                        w = rerandomize(x, crit, stream, grid.max_draws, basis=basis).allocation
+                        diff = group_means(x, w).diff
+                        assert stack[ci].diff[si, r].tobytes() == diff.tobytes()
+                        for mi, (surf, bc, rv) in enumerate(models):
+                            beta = beta_vector(bc, d, basis=basis, k=k)
+                            g = x.values if surf == "linear" else np.exp(x.values)
+                            treat = grid.tau * np.asarray(w.assignment, dtype=float)
+                            y = g @ beta + treat + np.sqrt(rv) * noise[:n]
+                            assert stack[ci].tau_hat[si, mi, r] == sate_estimator(Outcome(y), w)
+
+    def test_k_at_each_matrix_rank(self, monkeypatch):
+        # matrices of one stack can differ in numerical rank (here one basis
+        # is cut by a component); each k is then selected at its own rank
+        real, bases = simharness._decompose_stack, []
+
+        def cut_one(a):
+            s, out = real(a)
+            b = out[1]
+            out[1] = SpectralBasis(b.u[:, :-1].copy(), b.singular_values[:-1], b.v[:, :-1])
+            bases.extend(out)
+            return s, out
+
+        monkeypatch.setattr(simharness, "_decompose_stack", cut_one)
+        grid = FactorGrid((20,), (6,), (0.5,), replications=3, groups=1, gamma=0.999)
+        (cell,) = _replications(grid, RngStream(117), 0, range(3))
+        assert [b.p for b in bases] == [6, 5, 6]
+        assert cell.k.tolist() == [select_k(b, grid.gamma).k for b in bases] == [6, 5, 6]
+
+    def test_desk_stack_memory(self):
+        # A desk stack holds about four stack-sized arrays at once: the
+        # masters, one cell's re-standardized copy, a standardize temporary
+        # and the SVD factors. The rejection loop adds at most one 256-row
+        # batch of 100 units (its 64-bit keys and their partitioned copy).
+        grid = FactorGrid((100,), (10,), (0.1, 0.9), schemes=("rer", "pca"),
+                          replications=500, groups=5)
+        assert _stack_size(grid) == 16
+        _replications(grid, RngStream(116), 1, range(1))  # lazy imports, memos
+        tracemalloc.start()
+        try:
+            _replications(grid, RngStream(116), 1, range(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _STACK_BYTES + 2**19
 
 
 def _hand_report():
