@@ -171,15 +171,16 @@ def half_split_matrix(n: int, count: int, rng) -> np.ndarray:
     call of b rows.
 
     A numpy Generator `rng` is advanced by the draw and gives a fresh
-    count x n int8 matrix. An RngStream `rng` means the first `count`
-    rows of that stream, given as np.packbits(rows, axis=1): a read-only
-    count x ceil(n/8) uint8 memo, the same array on every call. The last
-    8 distinct (n, count, stream) calls are kept (1.25 MB for 10000 rows
-    at n = 1000).
+    count x n int8 matrix; a sequence of them gives each one's own rows in
+    turn, (len(rng) * count) x n, marked in one pass. An RngStream `rng`
+    means the first `count` rows of that stream, as np.packbits(rows,
+    axis=1): a read-only count x ceil(n/8) uint8 memo, the same array on
+    every call. The last 8 distinct (n, count, stream) calls are kept
+    (1.25 MB for 10000 rows at n = 1000).
     """
     if isinstance(rng, RngStream):
         return _stream_rows(n, count, rng)
-    return _split_rows(n, count, rng)
+    return _split_rows(n, count, [rng] if isinstance(rng, np.random.Generator) else rng)
 
 
 @functools.lru_cache(maxsize=8)  # the factorial grid calibrates ridge at 4 n
@@ -191,26 +192,34 @@ def _stream_rows(n: int, count: int, stream: RngStream) -> np.ndarray:
     packed = np.empty((count, -(-n // 8)), dtype=np.uint8)
     step = max(1, _KEY_BLOCK // n)
     for lo in range(0, count, step):
-        rows = _split_rows(n, min(step, count - lo), gen)
+        rows = _split_rows(n, min(step, count - lo), [gen])
         packed[lo : lo + step] = np.packbits(rows, axis=1)
     packed.flags.writeable = False
     return packed
 
 
-def _split_rows(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+def _split_rows(n: int, count: int, gens) -> np.ndarray:
     k = (n + 1) // 2
-    out = np.empty((count, n), dtype=np.int8)
+    total = len(gens) * count
+    out = np.empty((total, n), dtype=np.int8)
     flags = out.view(np.bool_)
     high = np.uint64((1 << 64) - (1 << (n - 1).bit_length()))
     cols = np.arange(n, dtype=np.uint64)
     step = max(1, _KEY_BLOCK // n)
-    for lo in range(0, count, step):
-        m = min(step, count - lo)
-        keys = gen.bit_generator.random_raw(m * n).reshape(m, n)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        first, last = lo // count, (hi - 1) // count
+        if first == last:  # a block of one generator's rows is used as drawn
+            keys = gens[first].bit_generator.random_raw((hi - lo) * n).reshape(-1, n)
+        else:
+            keys = np.empty((hi - lo, n), dtype=np.uint64)
+            for j in range(first, last + 1):
+                a, b = max(lo, j * count), min(hi, (j + 1) * count)
+                keys[a - lo : b - lo] = gens[j].bit_generator.random_raw((b - a) * n).reshape(-1, n)
         np.bitwise_and(keys, high, out=keys)
         np.bitwise_or(keys, cols, out=keys)
         kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
-        np.less_equal(keys, kth, out=flags[lo : lo + m])
+        np.less_equal(keys, kth, out=flags[lo:hi])
     return out
 
 

@@ -6,7 +6,9 @@ replication sees the identical covariates and the identical outcome
 noise. Scheme differences are therefore isolated to the allocation,
 which makes the relative metrics precise at small replication counts.
 The kernel (_replications) scores a stack of replications at a time: the
-per-matrix algebra runs once per stack, rejection once per replication.
+per-matrix algebra runs once per stack, and the rejection runs of each
+(cell, scheme) go through the engine's one lockstep loop together, at
+most 256 candidate rows in flight.
 
 Reduction metrics are relative to complete randomization on the same
 draws: r_sigma_bar_sq compares the average (over covariates) variance of
@@ -28,18 +30,10 @@ import numpy as np
 
 from .balance import _check_lambda, calibrate
 from .core import (
-    Allocation,
-    CovariateMatrix,
-    Outcome,
-    RngStream,
-    _arm_means,
-    _standardize,
-    as_generator,
-    standardize,
-    write_csv,
-    write_json,
+    Allocation, CovariateMatrix, Outcome, RngStream, _arm_means, _standardize, as_generator,
+    standardize, write_csv, write_json,
 )
-from .engine import DEFAULT_MAX_DRAWS, rerandomize
+from .engine import DEFAULT_MAX_DRAWS, _lockstep
 from .spectral import _decompose_stack, _select_k
 
 RERAND_SCHEMES = ("rer", "ridge", "pca")
@@ -290,9 +284,11 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
 
     Each replication draws its covariates, outcome noise and one allocation
     per (cell, scheme) from its own streams; its schemes share covariates,
-    basis and noise. Calibration and rejection run per replication and
-    scheme. Standardizing, the SVD, selecting k, the signals, group means
-    and estimates run once per stack on (reps, n, d) and (reps, n) arrays,
+    basis and noise. Calibration runs per replication and scheme, and one
+    lockstep rejection call per (cell, scheme) serves the stack, writing
+    every replication's row straight into the stack's assignments.
+    Standardizing, the SVD, selecting k, the signals, group means and
+    estimates run once per stack on (reps, n, d) and (reps, n) arrays,
     with the bits of each replication alone, so the stacking changes no
     output. The result depends on the arguments alone, apart from timings.
     """
@@ -321,21 +317,23 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
         w = np.empty(shape + (n,), dtype=np.int8)
         seconds, v_ak = np.empty(shape), np.full(shape, np.nan)
         exhausted, draws = np.zeros(shape, dtype=bool), np.empty(shape, dtype=int)
-        for r, (rep, basis, k) in enumerate(zip(reps, bases, ks.tolist())):
-            xr, alloc = CovariateMatrix(x[r]), root.child(_ALLOC).child(rho_idx).child(rep)
-            for si, scheme in enumerate(schemes):
-                # Per-allocation cost includes threshold calibration: each
-                # replication's matrix needs its own criterion, and for ridge
-                # that is a Monte Carlo step.
+        allocs = [root.child(_ALLOC).child(rho_idx).child(rep).child(ci) for rep in reps]
+        for si, scheme in enumerate(schemes):
+            # Per-allocation cost includes threshold calibration: each
+            # replication's matrix needs its own criterion, and for ridge
+            # that is a Monte Carlo step. The rejection runs of the stack
+            # share one kernel call, and each gets an equal share of it.
+            runs = []
+            for r, (basis, k) in enumerate(zip(bases, ks.tolist())):
                 t0 = time.perf_counter()
                 crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
-                res = rerandomize(xr, crit, alloc.child(ci).child(si), grid.max_draws, basis=basis)
+                runs.append((crit, basis, allocs[r].child(si).generator(), grid.max_draws))
                 seconds[si, r] = time.perf_counter() - t0
-                w[si, r] = res.allocation.assignment
-                exhausted[si, r] = scheme != "cr" and not res.accepted
-                draws[si, r] = res.draws_attempted
-                if crit.shrinkage is not None:
-                    v_ak[si, r] = crit.shrinkage
+                v_ak[si, r] = np.nan if (v := crit.shrinkage) is None else v
+            t0 = time.perf_counter()
+            _, draws[si], accepted = _lockstep(n, runs, w[si])
+            seconds[si] += (time.perf_counter() - t0) / size
+            exhausted[si] = np.logical_not(accepted)
 
         treated = w.view(bool)
         diff = np.array([np.subtract(*_arm_means(x, mask)) for mask in treated])

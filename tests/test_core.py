@@ -231,6 +231,33 @@ class TestHalfSplitMatrix:
 
     @given(
         n=st.integers(2, 400),
+        count=st.integers(0, 300),
+        runs=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one key block holds 65 rows at n = 1000: blocks that start, end and
+    # lie inside one generator's rows, and blocks spanning several
+    @example(n=1000, count=1, runs=5, seed=1)
+    @example(n=1000, count=40, runs=4, seed=2)
+    @example(n=1000, count=66, runs=3, seed=3)
+    @example(n=1000, count=131, runs=2, seed=4)
+    def test_generator_sequence_stacks_one_generator_calls(self, n, count, runs, seed):
+        streams = [RngStream(seed, i) for i in range(runs)]
+        gens = [s.generator() for s in streams]
+        got = half_split_matrix(n, count, gens)
+        want = [half_split_matrix(n, count, s.generator()) for s in streams]
+        assert got.dtype == np.int8 and got.shape == (runs * count, n)
+        np.testing.assert_array_equal(got, np.vstack(want))
+        # each generator is left where its own call leaves it
+        for gen, s in zip(gens, streams):
+            ref = s.generator()
+            half_split_matrix(n, count, ref)
+            np.testing.assert_array_equal(
+                gen.bit_generator.random_raw(4), ref.bit_generator.random_raw(4)
+            )
+
+    @given(
+        n=st.integers(2, 400),
         count=st.integers(0, 400),
         seed=st.integers(0, 2**32 - 1),
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rerand import engine
 from rerand.balance import (
+    DegenerateRuleWarning,
     batch_distances,
     calibrate,
     mahalanobis,
@@ -305,3 +307,104 @@ class TestAcceptedSample:
         crit = dataclasses.replace(calibrate("rer", 0.05, basis), threshold=1e-9)
         with pytest.raises(RuntimeError):
             accepted_sample(x, crit, RngStream(35), 2, max_draws=8, basis=basis)
+
+    def test_degenerate_rule_below_its_constant_fails_before_any_draw(self, monkeypatch):
+        # rank 9 = n - 1: the distance is the constant 9, above the chi-square
+        # threshold 3.33, so no draw can be accepted
+        x, basis = _setup(10, 9, 36)
+        with pytest.warns(DegenerateRuleWarning, match="below"):
+            crit = calibrate("rer", 0.05, basis)
+        counts = _count_rows(monkeypatch)
+        with pytest.raises(ValueError, match="constant n-1 = 9") as err:
+            accepted_sample(x, crit, RngStream(37), 3, basis=basis)
+        assert str(err.value) == crit.note and counts == []
+        # at or above the constant, every draw is accepted
+        with pytest.warns(DegenerateRuleWarning, match="at or above"):
+            easy = calibrate("rer", 0.95, basis)
+        sample = accepted_sample(x, easy, RngStream(37), 3, basis=basis)
+        assert len(sample) == 3 and counts == [1]  # one call, one row per substream
+
+
+class TestLockstep:
+    """engine._lockstep runs many rejection searches at once; each must end
+    exactly as rerandomize alone ends on the same stream."""
+
+    @staticmethod
+    @functools.cache
+    def _designs(n):
+        # a 5-covariate design for every scheme but the degenerate one, whose
+        # n - 1 components need n + 1 covariates
+        x, basis = _setup(n, 5, 50 + n)
+        wide = _setup(n, n + 1, 60 + n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateRuleWarning)
+            degenerate = calibrate("rer", 0.05, wide[1])
+        ridge = {p_a: calibrate("ridge", p_a, basis, n_cal=2000) for p_a in (0.2, 0.02, 0.001)}
+        return (x, basis), wide, degenerate, ridge
+
+    def _run(self, n, spec):
+        kind, p_a, k, max_draws = spec
+        (x, basis), wide, degenerate, ridge = self._designs(n)
+        if kind == "degenerate":
+            return wide[0], wide[1], degenerate, max_draws
+        if kind == "ridge":
+            return x, basis, ridge[p_a], max_draws
+        return x, basis, calibrate(kind, p_a, basis, k=k), max_draws
+
+    @given(
+        n=st.sampled_from([30, 31]),
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(["rer", "pca", "ridge", "cr", "degenerate"]),
+                st.sampled_from([0.2, 0.02, 0.001]),
+                st.integers(1, 5),
+                st.sampled_from([1, 7, 16, 50, 300, 1500]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # hits in the 16-row, 64-row and capped batches, exhaustion at a small
+    # cap, a degenerate rule, pca at several k, ridge and complete
+    # randomization, at even and at odd n; the 0.2 runs fill more than one
+    # 16-run chunk
+    @example(30, [("pca", 0.2, 3, 1500)] * 18 + [("rer", 0.02, 1, 1500), ("pca", 0.001, 2, 1500),
+             ("pca", 0.001, 5, 1500), ("ridge", 0.001, 1, 1500), ("rer", 0.001, 1, 7),
+             ("degenerate", 0.05, 1, 1500), ("cr", 0.05, 1, 1500)], 5)
+    @example(31, [("pca", 0.02, 4, 1500), ("ridge", 0.02, 1, 50), ("rer", 0.001, 1, 300),
+             ("degenerate", 0.05, 1, 1), ("cr", 0.05, 1, 16), ("pca", 0.001, 1, 1500)], 6)
+    def test_stack_matches_one_run_calls(self, n, specs, seed):
+        runs = [self._run(n, spec) for spec in specs]
+        streams = [RngStream(seed).child(i) for i in range(len(runs))]
+        out = np.empty((len(runs), n), dtype=np.int8)
+        values, draws, accepted = engine._lockstep(
+            n, [(c, b, s.generator(), m) for (_, b, c, m), s in zip(runs, streams)], out
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # odd n, near-equal splits
+            alone = [rerandomize(x, c, s, m, basis=b, near_equal=True)
+                     for (x, b, c, m), s in zip(runs, streams)]
+        for i, res in enumerate(alone):
+            assert out[i].tobytes() == res.allocation.assignment.tobytes()
+            assert values[i] == (0.0 if res.criterion_value is None else res.criterion_value)
+            assert (draws[i], accepted[i]) == (res.draws_attempted, res.accepted)
+
+    def test_rows_in_flight_stay_within_the_cap(self, monkeypatch):
+        # 40 searches: chunks of 16 searches at 16 rows, 4 at 64, 1 at 256,
+        # then 32 at the 8 rows left of max_draws
+        n = 30
+        (x, basis), *_ = self._designs(n)
+        crit = calibrate("pca", 0.001, basis, k=2)
+        calls = []
+
+        def counting(n, count, gens):
+            calls.append((count, len(gens)))
+            return half_split_matrix(n, count, gens)
+
+        monkeypatch.setattr(engine, "half_split_matrix", counting)
+        runs = [(crit, basis, RngStream(47).child(i).generator(), 600) for i in range(40)]
+        engine._lockstep(n, runs, np.empty((40, n), dtype=np.int8))
+        assert calls[:3] == [(16, 16), (16, 16), (16, 8)]
+        assert all(count * m <= engine._BATCH_CAP for count, m in calls)
+        assert (256, 1) in calls and calls[-1][0] == 8  # the last 8 of 600 draws
