@@ -44,7 +44,7 @@ one batch_distances gives for it unpacked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class BalanceCriterion:
     lam: float | None = None
     dof: int | None = None
     degenerate: bool = False
-    note: str = ""
     n_cal: int | None = None
 
     def __post_init__(self):
@@ -114,6 +113,16 @@ class BalanceCriterion:
         if self.dof is None or self.degenerate:
             return None
         return shrinkage_coeff(self.dof, self.threshold)
+
+    @property
+    def note(self) -> str:
+        """Why a degenerate rule (dof = n-1) runs as complete randomization; "" otherwise."""
+        if not self.degenerate:
+            return ""
+        side = "below" if self.threshold < self.dof else "at or above"
+        return (f"distance is the constant n-1 = {self.dof} for every equal split; "
+                f"threshold {self.threshold:.4f} is {side} it, so the rule cannot "
+                "discriminate and the scheme degenerates to complete randomization")
 
 
 @dataclass(frozen=True)
@@ -350,27 +359,16 @@ def calibrate(
     elif not 1 <= k <= basis.p:
         raise ValueError(f"k must lie in [1, {basis.p}]")
     dof = basis.p if k is None else k
-    crit = BalanceCriterion(scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof)
-    if dof == basis.p == n - 1:
-        crit = _flag_degenerate(crit, n)
+    crit = BalanceCriterion(scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof,
+                            degenerate=dof == basis.p == n - 1)
+    if crit.degenerate:
+        warnings.warn(crit.note, DegenerateRuleWarning, stacklevel=2)
     return crit
 
 
 class DegenerateRuleWarning(UserWarning):
     """A calibrated rule cannot discriminate between equal splits, so its
     scheme runs as complete randomization (the criterion's `note`)."""
-
-
-def _flag_degenerate(crit: BalanceCriterion, n: int) -> BalanceCriterion:
-    const = n - 1
-    side = "below" if crit.threshold < const else "at or above"
-    note = (
-        f"distance is the constant n-1 = {const} for every equal split; "
-        f"threshold {crit.threshold:.4f} is {side} it, so the rule cannot "
-        "discriminate and the scheme degenerates to complete randomization"
-    )
-    warnings.warn(note, DegenerateRuleWarning, stacklevel=3)
-    return replace(crit, degenerate=True, note=note)
 
 
 def predict_reduction(

@@ -4,14 +4,16 @@ Exit codes: 0 on success (including rejection exhaustion, which is a
 statistical soft failure reported in the output, not an operator error),
 1 on validation or I/O failure, 2 on usage errors.
 
-All randomness flows from --seed; without the flag a seed is drawn from
-system entropy and printed so the run can be reproduced. Output files
-contain no wall-clock values unless --timings is passed, so fixed-seed
-reruns are byte-identical. Every output file is written by core.write_csv
-or core.write_json, and every shrinkage value is read from the calibrated
-criterion (BalanceCriterion.shrinkage). A degenerate balance rule is
-reported once per distinct message as a `note:` line on stderr, not as a
-Python warning.
+All randomness flows from --seed, an integer >= 0; without the flag a
+seed is drawn from system entropy and printed so the run can be
+reproduced. Only allocate and diagnose take --pa and --gamma; simulate
+reads both from its config. Output files contain no wall-clock values
+unless --timings is passed, so fixed-seed reruns are byte-identical.
+Every output file is written by core.write_csv or core.write_json, and
+every shrinkage value is read from the calibrated criterion
+(BalanceCriterion.shrinkage). A degenerate balance rule is reported
+once per distinct message as a `note:` line on stderr, not as a Python
+warning.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import secrets
 import sys
 import warnings
 
-from .balance import DegenerateRuleWarning, _check_lambda, calibrate, predict_reduction
+from .balance import SCHEMES, DegenerateRuleWarning, _check_lambda, calibrate, predict_reduction
 from .core import (
     RngStream,
     group_means,
@@ -99,6 +101,12 @@ def _resolve_seed(args) -> int:
     seed = secrets.randbits(63)
     print(f"seed: {seed} (drawn from system entropy; pass --seed to reproduce)")
     return seed
+
+
+def _seed(text) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return int(text)
 
 
 def _parse_lambda(text):
@@ -229,7 +237,7 @@ class _Config(dict):
         """parse(value of key); a ValueError names the file, line and key."""
         try:
             return parse(self[key])
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             where = f"{self.path}:{self.lines[key]}"
             raise ValueError(f"{where}: bad value for {key!r}: {exc}") from None
 
@@ -276,7 +284,7 @@ def _cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
     grid = _grid_from_config(cfg)
     if args.seed is None and "seed" in cfg:
-        seed = cfg.parse("seed", int)
+        seed = cfg.parse("seed", _seed)
     else:
         seed = _resolve_seed(args)
 
@@ -310,6 +318,8 @@ def _cmd_diagnose(args) -> int:
         print(_DIAGNOSE_SCHEMA, end="")
         return 0
     if args.input:
+        if any(v is not None for v in (args.n, args.d, args.rho)):
+            raise ValueError("diagnose: --input excludes --n, --d and --rho")
         names, raw = read_covariate_csv(args.input)
         x = standardize(raw)
         del raw  # only the standardized copy is read from here on
@@ -370,12 +380,13 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _add_common(sub, timings: bool = False) -> None:
-    sub.add_argument("--pa", type=float, default=0.05,
-                     help="target acceptance probability (default 0.05)")
-    sub.add_argument("--gamma", type=float, default=0.95,
-                     help="cumulative-variance threshold for k (default 0.95)")
-    sub.add_argument("--seed", type=int, default=None,
+def _add_common(sub, rule: bool, timings: bool = False) -> None:
+    if rule:  # simulate reads pa and gamma from its config
+        sub.add_argument("--pa", type=float, default=0.05,
+                         help="target acceptance probability (default 0.05)")
+        sub.add_argument("--gamma", type=float, default=0.95,
+                         help="cumulative-variance threshold for k (default 0.95)")
+    sub.add_argument("--seed", type=_seed, default=None,
                      help="master seed; drawn from entropy and printed if absent")
     sub.add_argument("--out", default=".", help="output directory (default .)")
     sub.add_argument("--schema", action="store_true",
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alloc = commands.add_parser("allocate", help="allocate units from a covariate CSV")
     alloc.add_argument("--input", help="covariate CSV (header row, numeric cells)")
-    alloc.add_argument("--scheme", choices=["cr", "rer", "ridge", "pca"],
+    alloc.add_argument("--scheme", choices=SCHEMES,
                        default="pca", help="randomization scheme (default pca)")
     alloc.add_argument("--lambda", default="auto", dest="lambda",
                        help="ridge penalty, a number or 'auto' (default auto)")
@@ -402,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="max_draws", help="rejection draw cap (default 1e6)")
     alloc.add_argument("--near-equal", action="store_true", dest="near_equal",
                        help="allow odd n with a near-equal split")
-    _add_common(alloc, timings=True)
+    _add_common(alloc, rule=True, timings=True)
     alloc.set_defaults(func=_cmd_allocate)
 
     sim = commands.add_parser("simulate", help="run a factorial simulation study")
     sim.add_argument("--config", help="study config file (key = value lines)")
-    _add_common(sim, timings=True)
+    _add_common(sim, rule=False, timings=True)
     sim.set_defaults(func=_cmd_simulate)
 
     diag = commands.add_parser("diagnose", help="spectral and shrinkage diagnostics")
@@ -415,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--n", type=int, help="synthetic unit count")
     diag.add_argument("--d", type=int, help="synthetic covariate count")
     diag.add_argument("--rho", type=float, help="synthetic equicorrelation")
-    _add_common(diag)
+    _add_common(diag, rule=True)
     diag.set_defaults(func=_cmd_diagnose)
 
     return parser

@@ -1,8 +1,8 @@
 """Allocation generation: complete randomization and the rejection loop.
 
 There is one rejection loop, _lockstep, which runs many independent
-searches in lockstep: rerandomize is its one-search case, accepted_sample
-and the study kernel pass it a whole sample or replication stack.
+searches in lockstep: rerandomize is its one-search case, "cr" included;
+accepted_sample and the study kernel pass it a sample or replication stack.
 Candidate draws are evaluated in batches (one matrix product per search
 and batch) but acceptance is decided in draw order, so every search
 returns exactly the allocation a draw-at-a-time loop would accept.
@@ -93,8 +93,8 @@ def rerandomize(
 
     Returns the first accepted allocation. If max_draws is exhausted the
     allocation with the smallest criterion value seen is returned with
-    accepted=False. A degenerate criterion (constant distance) is decided
-    on a single draw and behaves like complete randomization.
+    accepted=False. A "cr" criterion, and a degenerate one (constant
+    distance), is decided on a single draw: complete randomization.
 
     Args:
         x: standardized covariates.
@@ -106,15 +106,13 @@ def rerandomize(
     """
     _check(x.n, criterion, max_draws, near_equal)
     gen, start = as_generator(rng), time.perf_counter()
-    if criterion.scheme == "cr":
-        w = complete_randomization(x.n, gen, near_equal=near_equal)
-        return RerandomizationResult(w, None, 1, True, time.perf_counter() - start)
+    if basis is None and criterion.scheme != "cr":
+        basis = decompose(x)
     row = np.empty(x.n, dtype=np.int8)
-    value, draws, accepted = _lockstep(
-        x.n, [(criterion, decompose(x) if basis is None else basis, gen, max_draws)], row[None]
-    )
+    value, draws, accepted = _lockstep(x.n, [(criterion, basis, gen, max_draws)], row[None])
+    value = None if criterion.scheme == "cr" else value[0]
     elapsed = time.perf_counter() - start
-    return RerandomizationResult(Allocation(row), value[0], draws[0], accepted[0], elapsed)
+    return RerandomizationResult(Allocation(row), value, draws[0], accepted[0], elapsed)
 
 
 def _lockstep(n: int, runs, out: np.ndarray):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balance import _check_lambda, calibrate
+from .balance import SCHEMES, _check_lambda, calibrate
 from .core import (
     Allocation, CovariateMatrix, Outcome, RngStream, _arm_means, _standardize, as_generator,
     standardize, write_csv, write_json,
@@ -36,7 +36,7 @@ from .core import (
 from .engine import DEFAULT_MAX_DRAWS, _lockstep
 from .spectral import _decompose_stack, _select_k
 
-RERAND_SCHEMES = ("rer", "ridge", "pca")
+RERAND_SCHEMES = tuple(s for s in SCHEMES if s != "cr")  # cr is the baseline
 SURFACES = ("linear", "exp")
 BETA_CHOICES = ("ones", "half_doubled", "spectral")
 
@@ -84,8 +84,9 @@ class FactorGrid:
     def __post_init__(self):
         for name in ("n_levels", "d_levels", "rho_levels", "schemes",
                      "surfaces", "beta_choices", "resid_vars"):
-            if not getattr(self, name):
-                raise _field_error(name, f"{name} must be nonempty")
+            levels = getattr(self, name)
+            if not levels or len(set(levels)) < len(levels):
+                raise _field_error(name, f"{name} must be nonempty, each level once: {levels}")
         if any(n < 2 or n % 2 for n in self.n_levels):
             raise _field_error("n_levels", "n levels must be even and at least 2")
         if any(d < 1 for d in self.d_levels):

@@ -443,6 +443,17 @@ class TestCalibrate:
         assert crit_k.degenerate
         assert crit.shrinkage is None and crit_k.shrinkage is None
 
+    def test_degenerate_note_follows_the_threshold(self):
+        # the note is derived from the rule, so it cannot go stale
+        x, basis = _setup(4, 10, 47)
+        with pytest.warns(DegenerateRuleWarning, match="below") as caught:
+            crit = calibrate("rer", 0.05, basis)
+        assert str(caught[0].message) == crit.note
+        above = replace(crit, threshold=3.5)
+        assert "threshold 3.5000 is at or above it" in above.note
+        assert "is below it" in replace(above, threshold=2.0).note
+        assert calibrate("rer", 0.05, _setup(40, 4, 48)[1]).note == ""
+
     def test_errors(self):
         x, basis = _setup(10, 3, 48)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rerand.cli import _GRID_KEYS, _grid_from_config, _parse_config, main
+from rerand.cli import _GRID_KEYS, _grid_from_config, _parse_config, build_parser, main
 from rerand.simharness import FactorGrid
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -299,6 +299,10 @@ class TestSimulate:
             ("pa = 1.5\n", ":4", "p_a and gamma must lie strictly inside (0, 1)"),
             ("gamma = 0\n", ":4", "p_a and gamma must lie strictly inside (0, 1)"),
             ("schemes = pca, cr\n", ":4", "unknown schemes: ['cr']"),
+            ("schemes = pca, pca\n", ":4",
+             "schemes must be nonempty, each level once: ('pca', 'pca')"),
+            ("resid_vars = 1.0, 1\n", ":4",
+             "resid_vars must be nonempty, each level once: (1.0, 1.0)"),
             ("betas = ones, odd\n", ":4", "unknown beta choices: ['odd']"),
             ("replications = 7\ngroups = 5\n", "", "replications must be divisible by groups"),
             ("replications = 0\n", "", "replications and groups must be positive"),
@@ -310,6 +314,13 @@ class TestSimulate:
         cfg.write_text("# a comment\n\nn = 16, 15\nd = 3\nrho = 0.5\n")
         assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: n levels must be even and at least 2\n"
+        # a repeated level is rejected, not collapsed into phantom cells
+        cfg.write_text("n = 20, 20\nd = 3\nrho = 0.5\nschemes = pca, pca\n"
+                       "replications = 4\ngroups = 2\n")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: n_levels must be nonempty, each level once: (20, 20)\n"
+        )
 
         assert main(["simulate", "--out", out]) == 1
 
@@ -337,6 +348,11 @@ class TestSimulate:
             f"error: {cfg}:8: bad value for 'seed': "
             "invalid literal for int() with base 10: '9.5'\n"
         )
+        cfg = _config(tmp_path / "seed.cfg", seed="seed = -4\n")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:8: bad value for 'seed': seed must be nonnegative, got -4\n"
+        )
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
         # the last value silently won
@@ -347,6 +363,23 @@ class TestSimulate:
     def test_schema_flag(self, capsys):
         assert main(["simulate", "--schema"]) == 0
         assert "metrics.csv" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--pa", "0.01"), ("--gamma", "0.5")])
+    def test_rule_flags_are_config_keys_only(self, tmp_path, flag, value):
+        # simulate reads pa and gamma from its config; the flags were
+        # accepted and then ignored
+        cfg = _config(tmp_path / "study.cfg")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, flag, value, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_declared_options(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        declared = {a.dest for a in commands["simulate"]._actions} - {"help"}
+        assert declared == {"config", "seed", "out", "schema", "timings"}
+        for name in ("allocate", "diagnose"):
+            assert {"pa", "gamma"} <= {a.dest for a in commands[name]._actions}
 
 
 class TestStudyConfig:
@@ -459,6 +492,19 @@ class TestDiagnose:
         assert main(["diagnose", "--out", str(tmp_path), "--seed", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_input_excludes_the_synthetic_flags(self, tmp_path, capsys):
+        # they were accepted and ignored; --seed stays allowed with --input
+        cov = _cov_csv(tmp_path / "cov.csv", n=30, d=4, seed=5)
+        out = tmp_path / "run"
+        for flags in (["--n", "500"], ["--d", "40"], ["--rho", "0.3"],
+                      ["--n", "500", "--d", "40", "--rho", "0.3"]):
+            assert main(["diagnose", "--input", cov, *flags, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: diagnose: --input excludes --n, --d and --rho\n"
+            )
+        assert not out.exists()
+        assert main(["diagnose", "--input", cov, "--seed", "4", "--out", str(out)]) == 0
+
     def test_schema_flag(self, capsys):
         assert main(["diagnose", "--schema"]) == 0
         assert "spectrum.csv" in capsys.readouterr().out
@@ -474,3 +520,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["allocate", "--input"], ["simulate", "--config"], ["diagnose", "--input"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        # numpy rejected it only at the first draw, after the input was read
+        # and calibrated, and without naming the flag; here the input
+        # path does not exist, so any work before the check would fail
+        missing = str(tmp_path / "missing")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, missing, "--seed", "-4", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --seed: seed must be nonnegative, got -4" in capsys.readouterr().err

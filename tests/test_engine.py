@@ -164,10 +164,18 @@ class TestRerandomize:
         assert a.draws_attempted == b.draws_attempted
 
     def test_cr_single_draw(self):
-        x, basis = _setup(20, 3, 14)
-        res = rerandomize(x, calibrate("cr", 0.05, basis), RngStream(15))
-        assert res.accepted and res.criterion_value is None
-        assert res.draws_attempted == 1
+        # the row is complete_randomization's on the same stream, at even n
+        # and at odd n with a near-equal split
+        for n, seed in ((20, 14), (21, 15)):
+            x, basis = _setup(n, 3, seed)
+            odd = bool(n % 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # odd n, near-equal split
+                res = rerandomize(x, calibrate("cr", 0.05, basis), RngStream(15), near_equal=odd)
+                w = complete_randomization(n, RngStream(15), near_equal=odd)
+            assert res.accepted and res.criterion_value is None
+            assert res.draws_attempted == 1
+            assert res.allocation.assignment.tobytes() == w.assignment.tobytes()
 
     def test_degenerate_falls_back_to_single_draw(self):
         x, basis = _setup(4, 10, 16)
@@ -314,6 +322,11 @@ class TestAcceptedSample:
         x, basis = _setup(10, 9, 36)
         with pytest.warns(DegenerateRuleWarning, match="below"):
             crit = calibrate("rer", 0.05, basis)
+        assert crit.note == (
+            "distance is the constant n-1 = 9 for every equal split; threshold 3.3251 is "
+            "below it, so the rule cannot discriminate and the scheme degenerates to "
+            "complete randomization"
+        )
         counts = _count_rows(monkeypatch)
         with pytest.raises(ValueError, match="constant n-1 = 9") as err:
             accepted_sample(x, crit, RngStream(37), 3, basis=basis)

@@ -70,6 +70,15 @@ class TestFactorGrid:
             dict(ok, resid_vars=(1.0, np.inf)),
             dict(ok, resid_vars=(np.nan,)),
             dict(ok, max_draws=0),
+            # a repeated level silently collapsed cells: the study keys its
+            # group metrics by level, so the ANOVA saw phantom cells
+            dict(ok, n_levels=(20, 20)),
+            dict(ok, d_levels=(3, 5, 3)),
+            dict(ok, rho_levels=(0.5, 0.5)),
+            dict(ok, schemes=("pca", "pca")),
+            dict(ok, surfaces=("linear", "linear")),
+            dict(ok, beta_choices=("ones", "ones")),
+            dict(ok, resid_vars=(1.0, 1.0)),
         ]
         for kwargs in bad:
             with pytest.raises(ValueError):
