@@ -12,9 +12,6 @@ from .balance import (
     CovReductionReport,
     calibrate,
     default_lambda,
-    mahalanobis,
-    mahalanobis_pca,
-    mahalanobis_ridge,
     predict_reduction,
 )
 from .core import (
@@ -24,14 +21,11 @@ from .core import (
     Outcome,
     RngStream,
     group_means,
-    make_allocation,
     read_covariate_csv,
-    sate_estimator,
     sigma_factor,
     standardize,
     write_allocation_csv,
 )
-from .dist import chi2_cdf, chi2_quantile, shrinkage_coeff
 from .engine import (
     DEFAULT_MAX_DRAWS,
     RerandomizationResult,
@@ -43,16 +37,13 @@ from .simharness import (
     AnovaRow,
     CellRecord,
     FactorGrid,
-    OutcomeModel,
     SimReport,
     anova,
     beta_vector,
     gen_covariates,
-    gen_outcome,
-    nested_submatrix,
     run_study,
 )
-from .spectral import ComponentSelection, SpectralBasis, decompose, project, select_k
+from .spectral import ComponentSelection, SpectralBasis, decompose, select_k
 
 __version__ = "0.1.0"
 
@@ -68,7 +59,6 @@ __all__ = [
     "FactorGrid",
     "GroupMeans",
     "Outcome",
-    "OutcomeModel",
     "RerandomizationResult",
     "RngStream",
     "SimReport",
@@ -77,27 +67,16 @@ __all__ = [
     "anova",
     "beta_vector",
     "calibrate",
-    "chi2_cdf",
-    "chi2_quantile",
     "complete_randomization",
     "decompose",
     "default_lambda",
     "gen_covariates",
-    "gen_outcome",
     "group_means",
-    "mahalanobis",
-    "mahalanobis_pca",
-    "mahalanobis_ridge",
-    "make_allocation",
-    "nested_submatrix",
     "predict_reduction",
-    "project",
     "read_covariate_csv",
     "rerandomize",
     "run_study",
-    "sate_estimator",
     "select_k",
-    "shrinkage_coeff",
     "sigma_factor",
     "standardize",
     "write_allocation_csv",

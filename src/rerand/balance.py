@@ -68,6 +68,8 @@ _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 # The engine's rejection batches are smaller, so each batch is one block.
 _BLOCK_ROWS = 1024
 
+_ZERO_RIDGE_MSG = "ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme"
+
 _NEAR_EQUAL_MSG = (
     "allocation is not an exact half split; distances use the "
     "finite-population scaling, outside the exact-split theory"
@@ -322,9 +324,10 @@ def calibrate(
 
     "rer" and "pca" thresholds are chi-square quantiles (dof = effective
     rank, resp. k); "rer" is "pca" over all p components, so k is ignored
-    for it. "ridge" is calibrated as the empirical p_a quantile of the
-    criterion over n_cal >= 1 seeded complete randomizations, always the
-    first n_cal rows of the calibration stream. "cr" has no threshold and
+    for it. "ridge" needs lam > 0 (None means default_lambda) and is
+    calibrated as the empirical p_a quantile of the criterion over
+    n_cal >= 1 seeded complete randomizations, always the first n_cal rows
+    of the calibration stream. "cr" has no threshold and
     reads only the unit count of basis, so the count n may be passed in
     its place, which spares the SVD. Arguments a scheme does not use are
     ignored. When the criterion sums all p = n-1 components it is the
@@ -345,6 +348,8 @@ def calibrate(
         if lam is None:
             lam = default_lambda(basis)
         _check_lambda(lam)
+        if lam == 0.0:
+            raise ValueError(_ZERO_RIDGE_MSG)
         if n_cal < 1:
             raise ValueError("n_cal must be at least 1")
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)

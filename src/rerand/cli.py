@@ -121,9 +121,6 @@ def _parse_lambda(text):
 
 
 def _cmd_allocate(args) -> int:
-    if args.schema:
-        print(_ALLOCATE_SCHEMA, end="")
-        return 0
     if not args.input:
         raise ValueError("allocate requires --input")
     seed = _resolve_seed(args)
@@ -276,9 +273,6 @@ def _grid_from_config(cfg: _Config) -> FactorGrid:
 
 
 def _cmd_simulate(args) -> int:
-    if args.schema:
-        print(_SIMULATE_SCHEMA, end="")
-        return 0
     if not args.config:
         raise ValueError("simulate requires --config")
     cfg = _parse_config(args.config)
@@ -314,9 +308,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if args.schema:
-        print(_DIAGNOSE_SCHEMA, end="")
-        return 0
     if args.input:
         if any(v is not None for v in (args.n, args.d, args.rho)):
             raise ValueError("diagnose: --input excludes --n, --d and --rho")
@@ -389,8 +380,6 @@ def _add_common(sub, rule: bool, timings: bool = False) -> None:
     sub.add_argument("--seed", type=_seed, default=None,
                      help="master seed; drawn from entropy and printed if absent")
     sub.add_argument("--out", default=".", help="output directory (default .)")
-    sub.add_argument("--schema", action="store_true",
-                     help="print the output file schemas and exit")
     if timings:
         sub.add_argument("--timings", action="store_true",
                          help="also write wall-clock values (not reproducible)")
@@ -402,13 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covariate-balanced treatment allocation by rerandomization",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    raw = argparse.RawDescriptionHelpFormatter  # each epilog is printed as written
 
-    alloc = commands.add_parser("allocate", help="allocate units from a covariate CSV")
+    alloc = commands.add_parser("allocate", help="allocate units from a covariate CSV",
+                                epilog=_ALLOCATE_SCHEMA, formatter_class=raw)
     alloc.add_argument("--input", help="covariate CSV (header row, numeric cells)")
     alloc.add_argument("--scheme", choices=SCHEMES,
                        default="pca", help="randomization scheme (default pca)")
     alloc.add_argument("--lambda", default="auto", dest="lambda",
-                       help="ridge penalty, a number or 'auto' (default auto)")
+                       help="ridge penalty, a positive number or 'auto' (default auto)")
     alloc.add_argument("--max-draws", type=int, default=DEFAULT_MAX_DRAWS,
                        dest="max_draws", help="rejection draw cap (default 1e6)")
     alloc.add_argument("--near-equal", action="store_true", dest="near_equal",
@@ -416,12 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(alloc, rule=True, timings=True)
     alloc.set_defaults(func=_cmd_allocate)
 
-    sim = commands.add_parser("simulate", help="run a factorial simulation study")
+    sim = commands.add_parser("simulate", help="run a factorial simulation study",
+                              epilog=_SIMULATE_SCHEMA, formatter_class=raw)
     sim.add_argument("--config", help="study config file (key = value lines)")
     _add_common(sim, rule=False, timings=True)
     sim.set_defaults(func=_cmd_simulate)
 
-    diag = commands.add_parser("diagnose", help="spectral and shrinkage diagnostics")
+    diag = commands.add_parser("diagnose", help="spectral and shrinkage diagnostics",
+                               epilog=_DIAGNOSE_SCHEMA, formatter_class=raw)
     diag.add_argument("--input", help="covariate CSV (header row, numeric cells)")
     diag.add_argument("--n", type=int, help="synthetic unit count")
     diag.add_argument("--d", type=int, help="synthetic covariate count")

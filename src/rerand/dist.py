@@ -67,8 +67,6 @@ def _upper_reg_gamma_cf(a: float, x: float) -> float:
 
 
 def _lower_reg_gamma(a: float, x: float) -> float:
-    if x < 0:
-        raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
@@ -99,8 +97,6 @@ def chi2_cdf(dof, x: float) -> float:
 
 
 def _chi2_pdf(k: int, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
     half = 0.5 * k
     logp = (half - 1.0) * math.log(x) - 0.5 * x - math.lgamma(half) - half * math.log(2.0)
     return math.exp(logp)

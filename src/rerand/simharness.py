@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .balance import SCHEMES, _check_lambda, calibrate
+from .balance import _ZERO_RIDGE_MSG, SCHEMES, _check_lambda, calibrate
 from .core import (
     Allocation, CovariateMatrix, Outcome, RngStream, _arm_means, _standardize, as_generator,
     standardize, write_csv, write_json,
@@ -109,6 +109,8 @@ class FactorGrid:
             raise _field_error(name, "p_a and gamma must lie strictly inside (0, 1)")
         if self.lam is not None:
             _check_lambda(self.lam)
+            if self.lam == 0.0 and "ridge" in self.schemes:
+                raise _field_error("lam", _ZERO_RIDGE_MSG)
         if not np.isfinite(self.tau):
             raise _field_error("tau", "tau must be finite")
         if self.max_draws < 1:

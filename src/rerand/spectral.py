@@ -73,8 +73,6 @@ def _decompose_stack(a: np.ndarray) -> tuple[np.ndarray, list[SpectralBasis]]:
     if np.any(s[:, 0] == 0.0):
         raise ValueError("zero matrix has no spectral basis")
     ps = np.sum(s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1], axis=1)
-    if np.any(ps == 0):
-        raise ValueError("no singular values above tolerance")
 
     # Sign convention: dominant entry of each right singular vector positive,
     # applied in place to the factors the SVD returned.

@@ -466,6 +466,10 @@ class TestCalibrate:
             calibrate("pca", 0.05, basis, k=99)
         with pytest.raises(ValueError):
             calibrate("ridge", 0.05, basis, lam=-0.5, n_cal=100)
+        # at lambda = 0 ridge is the Mahalanobis criterion; rer calibrates it
+        # in closed form and flags it when it is degenerate
+        with pytest.raises(ValueError, match="positive lambda; at lambda = 0 it is the 'rer'"):
+            calibrate("ridge", 0.05, basis, lam=0.0)
         for n_cal in (0, -1):
             with pytest.raises(ValueError, match="n_cal must be at least 1"):
                 calibrate("ridge", 0.05, basis, n_cal=n_cal)

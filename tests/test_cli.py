@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rerand.cli import _GRID_KEYS, _grid_from_config, _parse_config, build_parser, main
+from rerand.cli import (
+    _ALLOCATE_SCHEMA, _DIAGNOSE_SCHEMA, _GRID_KEYS, _SIMULATE_SCHEMA, _grid_from_config,
+    _parse_config, build_parser, main,
+)
 from rerand.simharness import FactorGrid
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,6 +29,14 @@ def _cov_csv(path, n=20, d=3, seed=0):
 def _read(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def _help(command, capsys):
+    """What `rerand <command> --help` prints; it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
 
 
 class TestAllocate:
@@ -110,6 +121,18 @@ class TestAllocate:
         assert report["lambda"] == 0.5
         assert report["accepted"] is True
 
+    def test_zero_lambda_ridge_is_rejected(self, tmp_path, capsys):
+        # at rank n-1 it accepted on rounding noise (criterion value equal to
+        # its threshold) and reported "degenerate": false; lambda = 0 is rer
+        cov = _cov_csv(tmp_path / "wide.csv", n=12, d=11)
+        out = tmp_path / "run"
+        assert main(["allocate", "--input", cov, "--scheme", "ridge", "--lambda", "0",
+                     "--seed", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme\n"
+        )
+        assert not out.exists()
+
     def test_degenerate_rule_reports_no_shrinkage(self, tmp_path, capfd):
         # 10 units, 20 covariates: rank n-1, so rer accepts every draw and its
         # chi-square v_a (0.286 here) is not the shrinkage of the allocation
@@ -182,9 +205,8 @@ class TestAllocate:
             f"error: {cov}: row {row}: bytes that do not decode as UTF-8 (offset 15000)\n"
         )
 
-    def test_schema_flag(self, tmp_path, capsys):
-        assert main(["allocate", "--schema"]) == 0
-        assert "allocation.csv" in capsys.readouterr().out
+    def test_schema_flag(self, capsys):
+        assert "allocation.csv" in _help("allocate", capsys)
 
 
 def _config(path, extra="", seed="seed = 99\n"):
@@ -216,8 +238,8 @@ class TestSimulate:
         assert all(set(r) == set(metrics[0]) for r in summary["records"])
         cr = next(r for r in summary["records"] if r["scheme"] == "cr")
         assert (cr["mean_draws"], cr["accept_rate"]) == (1.0, 1.0)
-        assert main(["simulate", "--schema"]) == 0
-        schema = capsys.readouterr().out.split("summary.json", 1)[0]
+        schema = _help("simulate", capsys).split("simulate writes into --out:", 1)[1]
+        schema = schema.split("summary.json", 1)[0]
         assert set(metrics[0]) <= set(re.findall(r"\w+", schema))
 
     def test_degenerate_cell_prints_one_note(self, tmp_path, capfd):
@@ -304,6 +326,8 @@ class TestSimulate:
             ("resid_vars = 1.0, 1\n", ":4",
              "resid_vars must be nonempty, each level once: (1.0, 1.0)"),
             ("betas = ones, odd\n", ":4", "unknown beta choices: ['odd']"),
+            ("schemes = ridge\nlambda = 0\n", ":5",
+             "ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme"),
             ("replications = 7\ngroups = 5\n", "", "replications must be divisible by groups"),
             ("replications = 0\n", "", "replications and groups must be positive"),
         ):
@@ -321,6 +345,10 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             f"error: {cfg}:1: n_levels must be nonempty, each level once: (20, 20)\n"
         )
+
+        cfg.write_text("n = 16\nd = 3\nrho 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: expected 'key = value'\n"
 
         assert main(["simulate", "--out", out]) == 1
 
@@ -361,8 +389,7 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {cfg}:11: key 'd' repeats line 3\n"
 
     def test_schema_flag(self, capsys):
-        assert main(["simulate", "--schema"]) == 0
-        assert "metrics.csv" in capsys.readouterr().out
+        assert "metrics.csv" in _help("simulate", capsys)
 
     @pytest.mark.parametrize("flag, value", [("--pa", "0.01"), ("--gamma", "0.5")])
     def test_rule_flags_are_config_keys_only(self, tmp_path, flag, value):
@@ -377,7 +404,7 @@ class TestSimulate:
     def test_declared_options(self):
         commands = build_parser()._subparsers._group_actions[0].choices
         declared = {a.dest for a in commands["simulate"]._actions} - {"help"}
-        assert declared == {"config", "seed", "out", "schema", "timings"}
+        assert declared == {"config", "seed", "out", "timings"}
         for name in ("allocate", "diagnose"):
             assert {"pa", "gamma"} <= {a.dest for a in commands[name]._actions}
 
@@ -402,8 +429,7 @@ class TestStudyConfig:
         )
 
     def test_schema_lists_exactly_the_accepted_keys(self, tmp_path, capsys):
-        assert main(["simulate", "--schema"]) == 0
-        text = capsys.readouterr().out
+        text = _help("simulate", capsys)
         keys_text = re.sub(r"\([^)]*\)", "", text.split("Keys:", 1)[1]).rstrip().rstrip(".")
         listed = {key.strip() for key in keys_text.split(",")}
         assert listed == set(_GRID_KEYS) | {"seed"}
@@ -506,8 +532,7 @@ class TestDiagnose:
         assert main(["diagnose", "--input", cov, "--seed", "4", "--out", str(out)]) == 0
 
     def test_schema_flag(self, capsys):
-        assert main(["diagnose", "--schema"]) == 0
-        assert "spectrum.csv" in capsys.readouterr().out
+        assert "spectrum.csv" in _help("diagnose", capsys)
 
 
 class TestUsage:
@@ -520,6 +545,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["allocate", "simulate", "diagnose"])
+    def test_help_is_the_one_way_to_the_schema(self, capsys, command):
+        schema = {"allocate": _ALLOCATE_SCHEMA, "simulate": _SIMULATE_SCHEMA,
+                  "diagnose": _DIAGNOSE_SCHEMA}[command]
+        assert _help(command, capsys).endswith("\n\n" + schema)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--schema"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schema" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["allocate", "--input"], ["simulate", "--config"], ["diagnose", "--input"],

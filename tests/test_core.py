@@ -17,6 +17,7 @@ from rerand.core import (
     Outcome,
     RngStream,
     _arm_means,
+    as_generator,
     group_means,
     half_split_matrix,
     make_allocation,
@@ -64,6 +65,9 @@ class TestStandardize:
             standardize(np.array([[1.0, np.nan], [2.0, 3.0]]))
         with pytest.raises(ValueError):
             standardize(np.array([[1.0, 2.0]]))  # single row
+        for values in (np.zeros((1, 3)), np.zeros((3, 0)), np.zeros(3)):
+            with pytest.raises(ValueError, match="need n >= 2 and d >= 1"):
+                CovariateMatrix(values)
 
     def test_shape_metadata(self):
         x = standardize(np.arange(12.0).reshape(4, 3))
@@ -194,6 +198,16 @@ class TestRngStream:
         x = c1.generator().standard_normal(1000)
         y = root.child(8).generator().standard_normal(1000)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.12
+
+    def test_negative_seed_is_named(self):
+        # it constructed, and numpy's unnamed "expected non-negative integer"
+        # came only at the first draw
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -4"):
+            RngStream(-4)
+
+    def test_as_generator_rejects_a_bare_seed(self):
+        with pytest.raises(TypeError, match="rng must be an RngStream or a numpy Generator"):
+            as_generator(42)
 
 
 class TestHalfSplitMatrix:

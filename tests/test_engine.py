@@ -158,7 +158,7 @@ class TestRerandomize:
         x, basis = _setup(60, 6, 12)
         crit = calibrate("ridge", 0.1, basis, n_cal=2000)
         a = rerandomize(x, crit, RngStream(13), basis=basis)
-        b = rerandomize(x, crit, RngStream(13), basis=basis)
+        b = rerandomize(x, crit, RngStream(13))  # decomposes x itself
         np.testing.assert_array_equal(a.allocation.assignment, b.allocation.assignment)
         assert a.criterion_value == b.criterion_value
         assert a.draws_attempted == b.draws_attempted
@@ -303,6 +303,8 @@ class TestAcceptedSample:
     def test_empty_sample(self):
         x, basis = _setup(30, 4, 31)
         assert accepted_sample(x, calibrate("rer", 0.2, basis), RngStream(32), 0) == []
+        with pytest.raises(ValueError, match="n_accepted must be nonnegative"):
+            accepted_sample(x, calibrate("rer", 0.2, basis), RngStream(32), -1)
 
     def test_requires_stream(self):
         x, basis = _setup(30, 4, 33)

@@ -1,5 +1,6 @@
-"""Every imported name is used, and every private name of the package is
-loaded: AST scans of the package and the tests.
+"""Every imported name is used, every private name of the package is
+loaded, and every third-party import of the tests and the benchmark is
+declared: AST scans of the package, the tests and perfbench.
 
 The package's `__init__.py` is skipped by the import scan, since its
 imports are the public re-exports. A name counts as used when it appears
@@ -11,10 +12,12 @@ name; a use in the tests alone does not keep it.
 Each decision has one owning module: only `core` imports `csv` or `json`
 (it holds the one reader and the one pair of output writers), and only
 `balance` imports from `dist` (thresholds and shrinkage come from the
-calibrated criterion), apart from the public re-exports in `__init__`.
+calibrated criterion); `__init__` does not re-export `dist`.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,7 +67,7 @@ def _unloaded_private_names(sources: list[str]) -> list[str]:
 
 
 # Imported module -> the package modules allowed to import it.
-_IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance", "__init__"}}
+_IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance"}}
 
 
 def _foreign_imports(modules: dict[str, str]) -> list[str]:
@@ -130,8 +133,41 @@ def test_scan_flags_a_foreign_import():
         "spectral": "import os.path\nfrom .core import standardize\n",
     }
     assert _foreign_imports(modules) == [
+        "__init__ imports .dist (line 1)",
         "cli imports json (line 1)",
         "cli imports csv (line 2)",
         "cli imports .dist (line 3)",
         "engine imports .dist (line 2)",
     ]
+
+
+def _third_party_imports(paths: list[Path]) -> dict[str, str]:
+    """Top-level modules that the files import, other than the standard
+    library, rerand and the files themselves, each with its first importer."""
+    local = {p.stem for p in paths} | {"rerand"}
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for top in (name.split(".")[0] for name in names):
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, f"{path.parent.name}/{path.name}")
+    return found
+
+
+def test_test_and_benchmark_imports_are_declared():
+    # `pip install -e ".[test]"` has to give every module the tests and the
+    # benchmark import; numpy is the package's own dependency. The extra is
+    # read with a regex so that this runs without tomllib (Python 3.10).
+    pyproject = (_ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    declared = {re.split(r"[<>=!~\[ ;]", req)[0].lower().replace("-", "_")
+                for req in re.findall(r'"([^"]+)"', extra)}
+    paths = sorted([*(_ROOT / "tests").glob("*.py"), *(_ROOT / "perfbench").glob("*.py")])
+    imported = _third_party_imports(paths)
+    assert {m: f for m, f in imported.items() if m not in declared | {"numpy"}} == {}

@@ -44,6 +44,7 @@ class TestFactorGrid:
     def test_valid(self):
         grid = FactorGrid((20,), (3,), (0.5,), replications=10, groups=5)
         assert grid.schemes == ("pca",)
+        assert FactorGrid((20,), (3,), (0.5,), schemes=("rer", "pca"), lam=0.0).lam == 0.0
 
     def test_rejects_bad_settings(self):
         ok = dict(n_levels=(20,), d_levels=(3,), rho_levels=(0.5,))
@@ -62,6 +63,7 @@ class TestFactorGrid:
             dict(ok, p_a=0.0),
             dict(ok, gamma=1.0),
             dict(ok, lam=-0.1),
+            dict(ok, schemes=("pca", "ridge"), lam=0.0),
             # each of these otherwise fails only after the first cell has run
             dict(ok, lam=np.nan),
             dict(ok, lam=np.inf),

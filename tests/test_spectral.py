@@ -92,6 +92,9 @@ class TestDecompose:
     def test_errors(self):
         with pytest.raises(ValueError):
             decompose(_matrix(np.zeros((4, 2))))
+        # standardize rejects these entries; a hand-built matrix reaches decompose
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(_matrix([[1.0, np.nan], [0.0, 1.0], [2.0, 0.5]]))
 
 
 class TestSelectK:

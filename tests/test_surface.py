@@ -1,5 +1,9 @@
-"""What the package exposes: the names the benchmark's tracer binds, and
-domain types that take only their arrays.
+"""What the package exposes: one way in to each public name, the names the
+benchmark's tracer binds, and domain types that take only their arrays.
+
+`__all__` lists exactly the public names `__init__.py` binds. The test
+references and the helpers that only `balance` reads live at their module
+paths alone, not at the top level.
 
 perfbench/spans.py wraps every name in its LAYERS table and reads the
 n_cal argument of calibrate by name, so a rename or deletion there passes
@@ -8,6 +12,7 @@ balance.choose_lambda, now the name of the one penalty rule,
 default_lambda. The table is read from that file, not copied.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -16,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+import rerand
 from rerand import balance
 from rerand.balance import calibrate
 from rerand.core import Allocation, CovariateMatrix, make_allocation, standardize
@@ -30,6 +36,36 @@ def _traced_layers() -> dict:
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans.LAYERS
+
+
+# Module -> public names that the top level does not re-export: test
+# references that no command, engine or study path calls, and the dist
+# functions that only balance reads.
+_MODULE_ONLY = {
+    "balance": ("mahalanobis", "mahalanobis_pca", "mahalanobis_ridge"),
+    "core": ("make_allocation", "sate_estimator"),
+    "dist": ("chi2_cdf", "chi2_quantile", "shrinkage_coeff"),
+    "simharness": ("OutcomeModel", "gen_outcome", "nested_submatrix"),
+    "spectral": ("project",),
+}
+
+
+def test_all_lists_exactly_the_public_names_init_binds():
+    bound = set()
+    for node in ast.parse(Path(rerand.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert sorted(rerand.__all__) == sorted(n for n in bound if not n.startswith("_"))
+    assert len(set(rerand.__all__)) == len(rerand.__all__) == 32
+
+
+def test_module_only_names_are_not_at_the_top_level():
+    for module, names in _MODULE_ONLY.items():
+        for name in names:
+            assert not hasattr(rerand, name), name
+            assert callable(getattr(importlib.import_module(f"rerand.{module}"), name))
 
 
 def test_every_traced_name_exists():
