@@ -68,7 +68,11 @@ _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 # The engine's rejection batches are smaller, so each batch is one block.
 _BLOCK_ROWS = 1024
 
-_ZERO_RIDGE_MSG = "ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme"
+# Formatted with the penalty lam: at lam = 0, or at a lam that every c sigma_j^2
+# swamps, each ridge weight is 1.0 and the rule is "rer" run on rounding noise.
+_ZERO_RIDGE_MSG = ("ridge needs a positive lambda that is not negligible against the "
+                   "spectrum; at lambda = {lam:g} every ridge weight is 1 and it is the "
+                   "'rer' scheme")
 
 _NEAR_EQUAL_MSG = (
     "allocation is not an exact half split; distances use the "
@@ -224,7 +228,7 @@ def _term_blocks(basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = 
     packed = w.shape[1] != n  # n >= 2, so ceil(n/8) < n
     ut = basis.u[:, :k].T
     buf = np.empty((ut.shape[0], min(len(w), _BLOCK_ROWS)))
-    scale = (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
+    scale = _term_scale(n, n_t)
     for lo in range(0, len(w), _BLOCK_ROWS):
         rows = w[lo : lo + _BLOCK_ROWS]
         if packed:
@@ -234,6 +238,31 @@ def _term_blocks(basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = 
         np.square(t, out=t)
         t *= scale
         yield t
+
+
+def _term_scale(n: int, n_t: int) -> float:
+    """r (n-1), the factor of every summand t_j at n_t treated of n units."""
+    return (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
+
+
+def _stacked_distances(bases, k: int, rows: np.ndarray, weights=None) -> np.ndarray:
+    """_batch_distances of S searches in one product, (S, b): batch i of the
+    (S, b, n) exact-split rows (b <= _BLOCK_ROWS) on the leading k
+    components of bases[i], weighted by weights[i] if weights is given.
+
+    The stacked u slices go in transposed and the rows as float,
+    transposed, so each (k, n, b) matrix product has the layout of its
+    `_term_blocks` call and its bits (a C-contiguous copy of u' changes
+    the last bit).
+    """
+    n = rows.shape[2]
+    u = np.stack([b.u[:, :k] for b in bases])
+    t = np.matmul(u.transpose(0, 2, 1), rows.astype(float).transpose(0, 2, 1))
+    np.square(t, out=t)
+    t *= _term_scale(n, (n + 1) // 2)
+    if weights is None:
+        return np.add.reduce(t, axis=1)
+    return np.array([w @ ti for w, ti in zip(weights, t)])
 
 
 def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
@@ -250,7 +279,7 @@ def _batch_distances(
     sum of each row's terms, or with ridge weights (a vector of length p)
     the weighted sum."""
     blocks = _term_blocks(basis, w, n_t, k)
-    parts = [t.sum(axis=0) if weights is None else weights @ t for t in blocks]
+    parts = [np.add.reduce(t) if weights is None else weights @ t for t in blocks]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -286,14 +315,14 @@ def batch_distances(
     """
     if criterion.scheme == "cr":
         raise ValueError("complete randomization has no balance distance")
-    w = np.asarray(w_matrix)
-    if w.ndim != 2 or w.shape[1] != basis.n:
+    w, n = np.asarray(w_matrix), basis.n
+    if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("allocation length disagrees with basis rows")
     # one integer row sum; int16 is twice as fast as int32 at n = 1000 and
     # cannot overflow on 0/1 rows below 2**15 units
-    counts = w.sum(axis=1, dtype=np.int16 if basis.n < 2**15 else np.int32)
+    counts = np.add.reduce(w, axis=1, dtype=np.int16 if n < 2**15 else np.int32)
     n_t = int(counts[0]) if len(w) else 0
-    if not 0 < n_t < basis.n or (counts != n_t).any():
+    if not 0 < n_t < n or np.count_nonzero(counts != n_t):
         raise ValueError("rows must all treat the same number of units, strictly between 0 and n")
     weights = None
     if criterion.scheme == "ridge":
@@ -324,7 +353,8 @@ def calibrate(
 
     "rer" and "pca" thresholds are chi-square quantiles (dof = effective
     rank, resp. k); "rer" is "pca" over all p components, so k is ignored
-    for it. "ridge" needs lam > 0 (None means default_lambda) and is
+    for it. "ridge" needs lam > 0 (None means default_lambda) that moves
+    some ridge weight below 1 (ValueError otherwise, lam = 0 included) and is
     calibrated as the empirical p_a quantile of the criterion over
     n_cal >= 1 seeded complete randomizations, always the first n_cal rows
     of the calibration stream. "cr" has no threshold and
@@ -348,12 +378,12 @@ def calibrate(
         if lam is None:
             lam = default_lambda(basis)
         _check_lambda(lam)
-        if lam == 0.0:
-            raise ValueError(_ZERO_RIDGE_MSG)
+        weights = _ridge_weights(basis, c_n, lam)
+        if (weights == 1.0).all():
+            raise ValueError(_ZERO_RIDGE_MSG.format(lam=lam))
         if n_cal < 1:
             raise ValueError("n_cal must be at least 1")
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)
-        weights = _ridge_weights(basis, c_n, lam)
         a = float(np.quantile(_batch_distances(basis, rows, (n + 1) // 2, weights=weights), p_a))
         return BalanceCriterion("ridge", p_a, c_n, threshold=a, lam=float(lam), n_cal=n_cal)
 

@@ -9,6 +9,10 @@ fixed RngStream it gives that stream's leading rows bit-packed (one bit
 per unit), as a read-only memo shared by every caller, so a caller that
 works one block of rows at a time unpacks only that block.
 
+RngStream.generator() builds one stream through numpy's SeedSequence;
+_stream_keys and _generators build many streams of one seed with the same
+output, keyed in one vectorized pass of the same hash.
+
 write_csv and write_json are the only code in the package that writes an
 output file, so all outputs format floats, empty cells and JSON alike.
 """
@@ -71,9 +75,10 @@ class Allocation:
 
     def __post_init__(self):
         w = np.asarray(self.assignment)
-        if not np.all((w == 0) | (w == 1)):
+        n_treated = int(np.count_nonzero(w == 1))
+        if n_treated + np.count_nonzero(w == 0) != w.size:
             raise ValueError("assignment must be 0/1")
-        object.__setattr__(self, "n_treated", int(w.sum()))
+        object.__setattr__(self, "n_treated", n_treated)
 
     @property
     def n(self) -> int:
@@ -110,12 +115,78 @@ class Outcome:
             raise ValueError("outcomes must be finite")
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer; good avalanche for deriving stream ids.
+def _mix64(x):
+    # splitmix64 finalizer; good avalanche for deriving stream ids. Takes a
+    # Python int or a uint64 array (which wraps where the int is masked).
     x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def _child_ids(ids: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """RngStream.child's stream_id for uint64 arrays of parent ids (their
+    low 64 bits) and child indexes, broadcast together."""
+    return _mix64(ids ^ _mix64(index))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _stream_keys(seed: int, ids: np.ndarray) -> list[list[int]]:
+    """The Philox key of RngStream(seed, i).generator() for every i of a 1-d
+    uint64 array, in one vectorized pass.
+
+    SeedSequence(seed, spawn_key=(i,)) hashes the seed's 32-bit words,
+    zero-padded to 4, then i's one (i < 2**32) or two words, its hash
+    constants advancing with every word. SeedSequence(seed).pool is the
+    state after the seed's words, so only the id words are hashed here.
+    """
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(ids), axis=1)
+    # the hash constant after the seed's words: 4 hashes per word, 4 words at least
+    hc = _INIT_A * pow(_MULT_A, 4 * max(4, -(-seed.bit_length() // 32)), 1 << 32) % (1 << 32)
+    for word, used in ((ids & 0xFFFFFFFF, None), (ids >> 32, ids >> 32 != 0)):
+        word, mixed = word.astype(np.uint32), pool.copy()
+        for dst in range(4):
+            h = word ^ hc
+            hc = hc * _MULT_A % (1 << 32)
+            h *= hc
+            h ^= h >> 16
+            mixed[dst] = _MIX_L * mixed[dst] - _MIX_R * h
+            mixed[dst] ^= mixed[dst] >> 16
+        pool = mixed if used is None else np.where(used, mixed, pool)
+    hc = _INIT_B
+    for i in range(4):
+        pool[i] ^= hc
+        hc = hc * _MULT_B % (1 << 32)
+        pool[i] *= hc
+        pool[i] ^= pool[i] >> 16
+    keys = pool[0::2].astype(np.uint64) | pool[1::2].astype(np.uint64) << 32
+    return keys.T.tolist()
+
+
+def _generators(keys) -> list[np.random.Generator]:
+    """One Generator per key of _stream_keys, each equal to the stream's
+    RngStream.generator() without building its SeedSequence."""
+    return list(map(_keyed_generator(), keys))
+
+
+@functools.cache
+def _keyed_generator():
+    # Built on first use, so that importing the package does not load
+    # numpy.random.
+    class Key(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return lambda key: np.random.Generator(np.random.Philox(Key(key)))
 
 
 @dataclass(frozen=True)
@@ -202,13 +273,21 @@ def _stream_rows(n: int, count: int, stream: RngStream) -> np.ndarray:
     return packed
 
 
+@functools.lru_cache(maxsize=8)
+def _key_masks(n: int) -> tuple[np.uint64, np.ndarray]:
+    """_split_rows' mask of a key's high bits and the column indexes that
+    replace its low bits, for n units."""
+    cols = np.arange(n, dtype=np.uint64)
+    cols.flags.writeable = False
+    return np.uint64((1 << 64) - (1 << (n - 1).bit_length())), cols
+
+
 def _split_rows(n: int, count: int, gens) -> np.ndarray:
     k = (n + 1) // 2
     total = len(gens) * count
     out = np.empty((total, n), dtype=np.int8)
     flags = out.view(np.bool_)
-    high = np.uint64((1 << 64) - (1 << (n - 1).bit_length()))
-    cols = np.arange(n, dtype=np.uint64)
+    high, cols = _key_masks(n)
     step = max(1, _KEY_BLOCK // n)
     for lo in range(0, total, step):
         hi = min(lo + step, total)
@@ -222,8 +301,9 @@ def _split_rows(n: int, count: int, gens) -> np.ndarray:
                 keys[a - lo : b - lo] = gens[j].bit_generator.random_raw((b - a) * n).reshape(-1, n)
         np.bitwise_and(keys, high, out=keys)
         np.bitwise_or(keys, cols, out=keys)
-        kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
-        np.less_equal(keys, kth, out=flags[lo:hi])
+        kth = keys.copy()
+        kth.partition(k - 1, axis=1)
+        np.less_equal(keys, kth[:, k - 1 : k], out=flags[lo:hi])
     return out
 
 

@@ -3,9 +3,17 @@
 There is one rejection loop, _lockstep, which runs many independent
 searches in lockstep: rerandomize is its one-search case, "cr" included;
 accepted_sample and the study kernel pass it a sample or replication stack.
-Candidate draws are evaluated in batches (one matrix product per search
-and batch) but acceptance is decided in draw order, so every search
-returns exactly the allocation a draw-at-a-time loop would accept.
+Candidate draws are evaluated in batches but acceptance is decided in
+draw order, so every search returns exactly the allocation a
+draw-at-a-time loop would accept.
+
+The searches of a chunk that share a kind of terms and a component count
+are projected in one stacked product (balance._stacked_distances), each
+matrix of it laid out as the search's own batch_distances call, so every
+distance keeps its bits. The batch schedule is part of the bits: at
+n >= 500 a row's distance depends on its batch's row count, through
+OpenBLAS's small-matrix switch near rows * n * k = 10**6 (at 500 x 90,
+k = 29, 16 to 64 rows give one set of bits, 96 to 256 another).
 
 Batches hold 16, 64 and then 256 rows each. Small first batches suit the
 common case, where a criterion accepts within a few dozen draws. The cap
@@ -20,15 +28,17 @@ at most 256 rows together (16 searches at 16 rows, 4 at 64, 1 at 256).
 
 from __future__ import annotations
 
-import functools
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceCriterion, batch_distances
-from .core import Allocation, CovariateMatrix, RngStream, as_generator, half_split_matrix
+from .balance import BalanceCriterion, _ridge_weights, _stacked_distances, batch_distances
+from .core import (
+    Allocation, CovariateMatrix, RngStream, _child_ids, _generators, _stream_keys,
+    as_generator, half_split_matrix,
+)
 from .spectral import SpectralBasis, decompose
 
 # Rejection batches grow 16, 64, 256, 256, ... (see the module docstring).
@@ -110,9 +120,9 @@ def rerandomize(
         basis = decompose(x)
     row = np.empty(x.n, dtype=np.int8)
     value, draws, accepted = _lockstep(x.n, [(criterion, basis, gen, max_draws)], row[None])
-    value = None if criterion.scheme == "cr" else value[0]
+    value = None if criterion.scheme == "cr" else float(value[0])
     elapsed = time.perf_counter() - start
-    return RerandomizationResult(Allocation(row), value, draws[0], accepted[0], elapsed)
+    return RerandomizationResult(Allocation(row), value, int(draws[0]), bool(accepted[0]), elapsed)
 
 
 def _lockstep(n: int, runs, out: np.ndarray):
@@ -120,45 +130,77 @@ def _lockstep(n: int, runs, out: np.ndarray):
 
     runs holds one (criterion, basis, generator, max_draws) per search;
     out, a len(runs) x n int8 array, receives each search's accepted (or
-    best) row. Returns each search's criterion value (0.0 for "cr"), draws
-    attempted and accepted flag, each exactly what the search alone gives.
-    A "cr" or degenerate rule is decided on its first draw.
+    best) row. Returns arrays of each search's criterion value (0.0 for
+    "cr"), draws attempted and accepted flag, each exactly what the search
+    alone gives. A "cr" or degenerate rule is decided on its first draw.
 
     Every round, each live search draws its next batch, from one sampler
     call per chunk of _BATCH_CAP // batch searches (so at most _BATCH_CAP
-    rows are in flight), and the chunk's first hits and best rows are
-    found together. Each search's batch goes through batch_distances on
-    its own: a product stacked over searches can change the last bit.
+    rows are in flight), and the chunk's distances, first hits and best
+    rows are found together (see _distances).
     """
+    # caps[j]: the draws search j may make, once it accepts the draws it
+    # made; values[j]: its best value so far. It is live while its cap lies
+    # beyond the rows drawn.
     caps = [1 if c.scheme == "cr" or c.degenerate else m for c, _, _, m in runs]
+    floor, caps = min(caps, default=0), np.array(caps)
     limit = np.array([np.inf if c.scheme == "cr" else c.threshold for c, _, _, _ in runs])
-    dist = [(lambda rows: np.zeros(len(rows))) if c.scheme == "cr"
-            else functools.partial(batch_distances, c, b) for c, b, _, _ in runs]
-    values, draws, accepted = [np.inf] * len(runs), list(caps), [False] * len(runs)
-    live, done, batch = list(range(len(runs))), 0, _BATCH_START
-    while live:
-        groups, prev, live = {}, live, []
-        for j in prev:
-            groups.setdefault(min(batch, caps[j] - done), []).append(j)
+    kinds = [None if c.scheme == "cr" else (c.scheme == "ridge", c.k or b.p) for c, b, _, _ in runs]
+    values, at = np.full(len(runs), np.inf), np.arange(len(runs))
+    live, done, batch = at, 0, _BATCH_START
+    while len(live):
+        groups = {batch: live}
+        if done + batch > floor:  # a search may reach its cap in this batch
+            counts = np.minimum(caps[live] - done, batch)
+            groups = {c: live[counts == c] for c in sorted(set(counts.tolist()))}
         for count, group in groups.items():
             step = max(1, _BATCH_CAP // count)
-            for chunk in (group[lo : lo + step] for lo in range(0, len(group), step)):
-                rows = half_split_matrix(n, count, [runs[j][2] for j in chunk]).reshape(-1, count, n)
-                d = np.array([dist[j](r) for j, r in zip(chunk, rows)])
-                first = (d <= limit[chunk, None]).argmax(axis=1).tolist()
-                for i, (j, a, b) in enumerate(zip(chunk, first, d.argmin(axis=1).tolist())):
-                    hit = d[i, a] <= limit[j]
-                    p = a if hit else b
-                    if hit or d[i, p] < values[j]:
-                        values[j] = float(d[i, p])
-                        out[j] = rows[i, p]
-                    if hit:
-                        accepted[j], draws[j] = True, done + p + 1
-                    elif done + count < caps[j]:
-                        live.append(j)
+            for lo in range(0, len(group), step):
+                chunk = group[lo : lo + step]
+                js, i, lim = chunk.tolist(), at[: len(chunk)], limit[chunk]
+                rows = half_split_matrix(n, count, [runs[j][2] for j in js]).reshape(-1, count, n)
+                d = _distances(runs, kinds, js, rows)
+                # every hit is raised to the limit, which no miss reaches, and
+                # argmin takes the first minimum: the first hit, else the best
+                pick = np.maximum(d, lim[:, None]).argmin(axis=1)
+                value = d[i, pick]
+                # a hit beats every earlier value, all above the limit
+                better = value < values[chunk]
+                take = chunk[better]
+                values[take] = value[better]
+                out[take] = rows[i[better], pick[better]]
+                hit = value <= lim
+                caps[chunk[hit]] = pick[hit] + (done + 1)
         done += batch
+        live = live[caps[live] > done]
         batch = min(batch * 4, _BATCH_CAP)
-    return values, draws, accepted
+    return values, caps, values <= limit
+
+
+def _distances(runs, kinds, js, rows) -> np.ndarray:
+    """The criterion values of searches js, rows[i] the batch of runs[js[i]];
+    kinds[j] is None for "cr" (its rows are all 0.0), else search j's kind
+    of terms (ridge-weighted or summed) and its component count.
+
+    A chunk of one search goes through batch_distances, check included.
+    In a larger chunk the searches of one kind and count share one stacked
+    product (balance._stacked_distances), which skips the exact-split
+    check: the sampler makes every row one. Each distance has the bits of
+    its search alone either way.
+    """
+    if len(js) == 1 and kinds[js[0]] is not None:
+        return batch_distances(runs[js[0]][0], runs[js[0]][1], rows[0])[None]
+    d, groups = np.zeros(rows.shape[:2]), {}
+    for i, j in enumerate(js):
+        if kinds[j] is not None:
+            groups.setdefault(kinds[j], []).append(i)
+    for (ridge, k), group in groups.items():
+        searches = [runs[js[i]] for i in group]
+        bases, weights = [b for _, b, _, _ in searches], None
+        if ridge:
+            weights = [_ridge_weights(b, c.sigma_factor, c.lam) for c, b, _, _ in searches]
+        d[group] = _stacked_distances(bases, k, rows[group], weights)
+    return d
 
 
 def accepted_sample(
@@ -186,10 +228,12 @@ def accepted_sample(
     if basis is None and criterion.scheme != "cr":
         basis = decompose(x)
     rows = np.empty((n_accepted, x.n), dtype=np.int8)
-    runs = [(criterion, basis, rng.child(i).generator(), max_draws) for i in range(n_accepted)]
+    ids = _child_ids(np.array([rng.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                     np.arange(n_accepted, dtype=np.uint64))
+    runs = [(criterion, basis, gen, max_draws) for gen in _generators(_stream_keys(rng.seed, ids))]
     _, _, accepted = _lockstep(x.n, runs, rows)
-    if not all(accepted):
+    if not accepted.all():
         raise RuntimeError(
-            f"substream {accepted.index(False)} exhausted {max_draws} draws without acceptance"
+            f"substream {accepted.argmin()} exhausted {max_draws} draws without acceptance"
         )
     return [Allocation(w) for w in rows]

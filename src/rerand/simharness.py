@@ -6,9 +6,9 @@ replication sees the identical covariates and the identical outcome
 noise. Scheme differences are therefore isolated to the allocation,
 which makes the relative metrics precise at small replication counts.
 The kernel (_replications) scores a stack of replications at a time: the
-per-matrix algebra runs once per stack, and the rejection runs of each
-(cell, scheme) go through the engine's one lockstep loop together, at
-most 256 candidate rows in flight.
+per-matrix algebra and the keying of every stream run once per stack,
+and the rejection runs of each (cell, scheme) go through the engine's
+one lockstep loop together, at most 256 candidate rows in flight.
 
 Reduction metrics are relative to complete randomization on the same
 draws: r_sigma_bar_sq compares the average (over covariates) variance of
@@ -21,6 +21,7 @@ as its residual.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import combinations
 from operator import attrgetter
@@ -30,8 +31,8 @@ import numpy as np
 
 from .balance import _ZERO_RIDGE_MSG, SCHEMES, _check_lambda, calibrate
 from .core import (
-    Allocation, CovariateMatrix, Outcome, RngStream, _arm_means, _standardize, as_generator,
-    standardize, write_csv, write_json,
+    Allocation, CovariateMatrix, Outcome, RngStream, _arm_means, _child_ids, _generators,
+    _standardize, _stream_keys, as_generator, standardize, write_csv, write_json,
 )
 from .engine import DEFAULT_MAX_DRAWS, _lockstep
 from .spectral import _decompose_stack, _select_k
@@ -101,16 +102,17 @@ class FactorGrid:
         if any(not 0.0 <= v < np.inf for v in self.resid_vars):
             raise _field_error("resid_vars", "residual variances must be finite and nonnegative")
         if self.groups < 1 or self.replications < 1:
-            raise ValueError("replications and groups must be positive")
+            name = "groups" if self.replications >= 1 else "replications"
+            raise _field_error(name, "replications and groups must be positive")
         if self.replications % self.groups:
-            raise ValueError("replications must be divisible by groups")
+            raise _field_error("replications", "replications must be divisible by groups")
         if not 0.0 < self.p_a < 1.0 or not 0.0 < self.gamma < 1.0:
             name = "gamma" if 0.0 < self.p_a < 1.0 else "p_a"
             raise _field_error(name, "p_a and gamma must lie strictly inside (0, 1)")
         if self.lam is not None:
             _check_lambda(self.lam)
             if self.lam == 0.0 and "ridge" in self.schemes:
-                raise _field_error("lam", _ZERO_RIDGE_MSG)
+                raise _field_error("lam", _ZERO_RIDGE_MSG.format(lam=self.lam))
         if not np.isfinite(self.tau):
             raise _field_error("tau", "tau must be finite")
         if self.max_draws < 1:
@@ -286,10 +288,12 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
     consecutive replications of one rho level, as one _CellDraws per cell.
 
     Each replication draws its covariates, outcome noise and one allocation
-    per (cell, scheme) from its own streams; its schemes share covariates,
-    basis and noise. Calibration runs per replication and scheme, and one
-    lockstep rejection call per (cell, scheme) serves the stack, writing
-    every replication's row straight into the stack's assignments.
+    per (cell, scheme) from its own streams, all keyed in one vectorized
+    pass per stack; its schemes share covariates, basis and noise. Each
+    distinct rule of a (cell, scheme) is calibrated once per stack (ridge
+    once per replication), and one lockstep rejection call per (cell,
+    scheme) serves the stack, writing every replication's row straight into
+    the stack's assignments.
     Standardizing, the SVD, selecting k, the signals, group means and
     estimates run once per stack on (reps, n, d) and (reps, n) arrays,
     with the bits of each replication alone, so the stacking changes no
@@ -297,11 +301,18 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
     """
     cells, schemes, models = _layout(grid)
     n_max, d_max, size = max(grid.n_levels), max(grid.d_levels), len(reps)
-    gens = [root.child(_COV).child(rho_idx).child(rep).generator() for rep in reps]
-    master = _standardize(_one_factor(gens, n_max, d_max, grid.rho_levels[rho_idx]))
+    # Every stream of the stack, keyed in one pass: covariates and noise per
+    # replication, then allocations per (cell, scheme, replication).
+    tags = [root.child(tag).child(rho_idx).stream_id for tag in (_COV, _NOISE, _ALLOC)]
+    rep_ids = _child_ids(np.array(tags, dtype=np.uint64)[:, None], np.array(reps, dtype=np.uint64))
+    cell_ids = _child_ids(rep_ids[2], np.arange(len(cells), dtype=np.uint64)[:, None])
+    alloc_ids = _child_ids(cell_ids[:, None], np.arange(len(schemes), dtype=np.uint64)[:, None])
+    keys = _stream_keys(root.seed, np.concatenate([rep_ids[:2].ravel(), alloc_ids.ravel()]))
+    rho = grid.rho_levels[rho_idx]
+    master = _standardize(_one_factor(_generators(keys[:size]), n_max, d_max, rho))
     noise = np.empty((size, n_max))
-    for rep, row in zip(reps, noise):
-        root.child(_NOISE).child(rho_idx).child(rep).generator().standard_normal(out=row)
+    for gen, row in zip(_generators(keys[size : 2 * size]), noise):
+        gen.standard_normal(out=row)
 
     out = []
     for ci, (n, d) in enumerate(cells):
@@ -310,33 +321,40 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
         ps, ks = np.array([b.p for b in bases]), np.empty(size, dtype=int)
         for p in np.unique(ps):
             ks[ps == p] = _select_k(s[ps == p, :p], grid.gamma)[0]
+        kl = ks.tolist()
         signal = {}
         for bc in grid.beta_choices:
-            beta = np.array([beta_vector(bc, d, basis=b, k=k) for b, k in zip(bases, ks.tolist())])
+            beta = np.array([beta_vector(bc, d, basis=b, k=k) for b, k in zip(bases, kl)])
             for surf in grid.surfaces:
                 signal[surf, bc] = _surface_values(x, surf, beta)
 
         shape = (len(schemes), size)
         w = np.empty(shape + (n,), dtype=np.int8)
-        seconds, v_ak = np.empty(shape), np.full(shape, np.nan)
+        seconds, v_ak = np.empty(shape), np.empty(shape)
         exhausted, draws = np.zeros(shape, dtype=bool), np.empty(shape, dtype=int)
-        allocs = [root.child(_ALLOC).child(rho_idx).child(rep).child(ci) for rep in reps]
         for si, scheme in enumerate(schemes):
-            # Per-allocation cost includes threshold calibration: each
-            # replication's matrix needs its own criterion, and for ridge
-            # that is a Monte Carlo step. The rejection runs of the stack
-            # share one kernel call, and each gets an equal share of it.
-            runs = []
-            for r, (basis, k) in enumerate(zip(bases, ks.tolist())):
-                t0 = time.perf_counter()
-                crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
-                runs.append((crit, basis, allocs[r].child(si).generator(), grid.max_draws))
-                seconds[si, r] = time.perf_counter() - t0
-                v_ak[si, r] = np.nan if (v := crit.shrinkage) is None else v
+            # Per-allocation cost includes threshold calibration: per
+            # replication for ridge (a Monte Carlo quantile on its basis),
+            # once per distinct (p, k) for the rest. Shared seconds, of a
+            # calibration or of the kernel call, are split equally.
+            rules = [r if scheme == "ridge" else (b.p, k if scheme == "pca" else None)
+                     for r, (b, k) in enumerate(zip(bases, kl))]
+            shares, crits = Counter(rules), {}
+            for rule, basis, k in zip(rules, bases, kl):
+                if rule not in crits:
+                    t0 = time.perf_counter()
+                    crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                    cost, v = (time.perf_counter() - t0) / shares[rule], crit.shrinkage
+                    crits[rule] = crit, cost, np.nan if v is None else v
+            runs, lo = [], 2 * size + (ci * len(schemes) + si) * size
+            gens = _generators(keys[lo : lo + size])
+            for r, (rule, basis, gen) in enumerate(zip(rules, bases, gens)):
+                crit, seconds[si, r], v_ak[si, r] = crits[rule]
+                runs.append((crit, basis, gen, grid.max_draws))
             t0 = time.perf_counter()
             _, draws[si], accepted = _lockstep(n, runs, w[si])
             seconds[si] += (time.perf_counter() - t0) / size
-            exhausted[si] = np.logical_not(accepted)
+            exhausted[si] = ~accepted
 
         treated = w.view(bool)
         diff = np.array([np.subtract(*_arm_means(x, mask)) for mask in treated])

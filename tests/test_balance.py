@@ -12,6 +12,7 @@ from rerand.balance import (
     DegenerateRuleWarning,
     _batch_distances,
     _ridge_weights,
+    _stacked_distances,
     _term_blocks,
     batch_distances,
     calibrate,
@@ -468,7 +469,7 @@ class TestCalibrate:
             calibrate("ridge", 0.05, basis, lam=-0.5, n_cal=100)
         # at lambda = 0 ridge is the Mahalanobis criterion; rer calibrates it
         # in closed form and flags it when it is degenerate
-        with pytest.raises(ValueError, match="positive lambda; at lambda = 0 it is the 'rer'"):
+        with pytest.raises(ValueError, match="at lambda = 0 every ridge weight is 1 and it is"):
             calibrate("ridge", 0.05, basis, lam=0.0)
         for n_cal in (0, -1):
             with pytest.raises(ValueError, match="n_cal must be at least 1"):
@@ -484,6 +485,21 @@ class TestCalibrate:
         monkeypatch.setattr("rerand.balance.half_split_matrix", no_draws)
         with pytest.raises(ValueError, match="lambda must be a finite nonnegative number"):
             calibrate("ridge", 0.05, basis, lam=lam)
+
+    def test_negligible_lambda_fails_before_drawing(self, monkeypatch):
+        # at rank n-1 every c sigma_j^2 swamps lambda = 1e-300: every ridge
+        # weight rounds to 1.0, so the rule would be rer's constant n-1,
+        # accepting on rounding noise
+        x, basis = _setup(12, 11, 49)
+        assert basis.p == 11 and (_ridge_weights(basis, sigma_factor(6, 6), 1e-300) == 1.0).all()
+        assert calibrate("ridge", 0.05, basis, lam=1e-12, n_cal=100).lam == 1e-12
+
+        def no_draws(*args):
+            raise AssertionError("calibration rows drawn for a negligible lambda")
+
+        monkeypatch.setattr("rerand.balance.half_split_matrix", no_draws)
+        with pytest.raises(ValueError, match="at lambda = 1e-300 every ridge weight is 1 and it"):
+            calibrate("ridge", 0.05, basis, lam=1e-300)
 
     def test_hand_built_ridge_criterion_needs_lam_and_n_cal(self):
         # named at construction, not as a TypeError deep in predict_reduction
@@ -755,3 +771,25 @@ class TestPredictReduction:
         bare = BalanceCriterion("pca", 0.05, 1.0, threshold=None, k=2)
         with pytest.raises(ValueError):
             predict_reduction(bare, basis)
+
+
+class TestStackedDistances:
+    @pytest.mark.parametrize("n, d, k, rows", [(30, 5, 3, 16), (31, 7, None, 7), (100, 10, 4, 64),
+                                               (200, 50, 20, 16), (500, 90, 29, 256)])
+    def test_each_batch_has_the_bits_of_its_own_call(self, n, d, k, rows):
+        # one product for four bases, each batch with the bits of its own
+        # _batch_distances call: the top-k sum (all d components at k =
+        # None) and the ridge-weighted sum over all of them
+        designs = np.random.default_rng(n).standard_normal((4, n, d))
+        bases = [decompose(standardize(a)) for a in designs]
+        gens = [RngStream(9).child(i).generator() for i in range(4)]
+        w = half_split_matrix(n, rows, gens).reshape(4, rows, n)
+        weights = [_ridge_weights(b, sigma_factor(n - n // 2, n // 2), 0.3) for b in bases]
+        summed = _stacked_distances(bases, k or d, w)
+        weighted = _stacked_distances(bases, d, w, weights)
+        assert summed.shape == weighted.shape == (4, rows)
+        for i, b in enumerate(bases):
+            alone = _batch_distances(b, w[i], (n + 1) // 2, k)
+            assert summed[i].tobytes() == alone.tobytes()
+            alone = _batch_distances(b, w[i], (n + 1) // 2, weights=weights[i])
+            assert weighted[i].tobytes() == alone.tobytes()

@@ -129,7 +129,22 @@ class TestAllocate:
         assert main(["allocate", "--input", cov, "--scheme", "ridge", "--lambda", "0",
                      "--seed", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme\n"
+            "error: ridge needs a positive lambda that is not negligible against the spectrum;"
+            " at lambda = 0 every ridge weight is 1 and it is the 'rer' scheme\n"
+        )
+        assert not out.exists()
+
+    def test_negligible_lambda_ridge_is_rejected(self, tmp_path, capsys):
+        # every ridge weight rounds to 1.0, so the rule was rer's constant and
+        # accepted on rounding noise (threshold and criterion value both
+        # 10.999999999999988) with "degenerate": false
+        cov = _cov_csv(tmp_path / "wide.csv", n=12, d=11)
+        out = tmp_path / "run"
+        assert main(["allocate", "--input", cov, "--scheme", "ridge", "--lambda", "1e-300",
+                     "--seed", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ridge needs a positive lambda that is not negligible against the spectrum;"
+            " at lambda = 1e-300 every ridge weight is 1 and it is the 'rer' scheme\n"
         )
         assert not out.exists()
 
@@ -327,9 +342,13 @@ class TestSimulate:
              "resid_vars must be nonempty, each level once: (1.0, 1.0)"),
             ("betas = ones, odd\n", ":4", "unknown beta choices: ['odd']"),
             ("schemes = ridge\nlambda = 0\n", ":5",
-             "ridge needs a positive lambda; at lambda = 0 it is the 'rer' scheme"),
-            ("replications = 7\ngroups = 5\n", "", "replications must be divisible by groups"),
-            ("replications = 0\n", "", "replications and groups must be positive"),
+             "ridge needs a positive lambda that is not negligible against the spectrum; at "
+             "lambda = 0 every ridge weight is 1 and it is the 'rer' scheme"),
+            ("replications = 7\ngroups = 5\n", ":4", "replications must be divisible by groups"),
+            ("groups = 5\nreplications = 7\n", ":5", "replications must be divisible by groups"),
+            ("replications = 0\n", ":4", "replications and groups must be positive"),
+            ("replications = 4\ngroups = 0\n", ":5", "replications and groups must be positive"),
+            ("groups = -1\nreplications = 0\n", ":5", "replications and groups must be positive"),
         ):
             cfg = tmp_path / "grid.cfg"
             cfg.write_text("n = 16\nd = 3\nrho = 0.5\n" + extra)

@@ -17,6 +17,9 @@ from rerand.core import (
     Outcome,
     RngStream,
     _arm_means,
+    _child_ids,
+    _generators,
+    _stream_keys,
     as_generator,
     group_means,
     half_split_matrix,
@@ -204,6 +207,31 @@ class TestRngStream:
         # came only at the first draw
         with pytest.raises(ValueError, match="seed must be nonnegative, got -4"):
             RngStream(-4)
+
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**140)),
+        ids=st.lists(st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 - 1)),
+                     min_size=1, max_size=6),
+    )
+    # seeds of one, two, three and five 32-bit words; ids of one and two
+    # words, at both edges of each
+    @example(seed=0, ids=[0, 2**32 - 1, 2**32, 2**64 - 1])
+    @example(seed=2**32, ids=[0, 2**32 - 1, 2**32, 2**64 - 1])
+    @example(seed=2**64, ids=[0, 2**32 - 1, 2**32, 2**64 - 1])
+    @example(seed=2**128 + 1, ids=[0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_keyed_streams_equal_the_one_stream_path(self, seed, ids):
+        gens = _generators(_stream_keys(seed, np.array(ids, dtype=np.uint64)))
+        for i, gen in zip(ids, gens, strict=True):
+            ref = RngStream(seed, i).generator()
+            raw = gen.bit_generator.random_raw(5)
+            assert raw.tolist() == ref.bit_generator.random_raw(5).tolist()
+            assert gen.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    @given(parent=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1))
+    @example(parent=2**64 - 1, index=2**64 - 1)
+    def test_child_ids_equal_child(self, parent, index):
+        ids = _child_ids(np.array([parent], dtype=np.uint64), np.array([index], dtype=np.uint64))
+        assert ids.tolist() == [RngStream(3, parent).child(index).stream_id]
 
     def test_as_generator_rejects_a_bare_seed(self):
         with pytest.raises(TypeError, match="rng must be an RngStream or a numpy Generator"):

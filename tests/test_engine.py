@@ -405,6 +405,63 @@ class TestLockstep:
             assert values[i] == (0.0 if res.criterion_value is None else res.criterion_value)
             assert (draws[i], accepted[i]) == (res.draws_attempted, res.accepted)
 
+    @staticmethod
+    def _searches(runs, streams):
+        return [(c, b, s.generator(), m) for (_, b, c, m), s in zip(runs, streams)]
+
+    @staticmethod
+    def _assert_alone(runs, streams, out, values, draws, accepted):
+        # each search ends exactly as rerandomize alone ends on its stream
+        for i, ((x, b, c, m), s) in enumerate(zip(runs, streams, strict=True)):
+            res = rerandomize(x, c, s, m, basis=b)
+            assert out[i].tobytes() == res.allocation.assignment.tobytes()
+            assert values[i] == res.criterion_value
+            assert (draws[i], accepted[i]) == (res.draws_attempted, res.accepted)
+
+    def test_large_products_keep_the_bits_of_one_search(self, monkeypatch):
+        # 600 x 120 with 16-row batches takes OpenBLAS's large-matrix path:
+        # 16 rer and 16 ridge searches on four bases, one stacked product each
+        designs = [standardize(a) for a in np.random.default_rng(71).standard_normal((4, 600, 120))]
+        bases = [decompose(x) for x in designs]
+        runs = [(designs[i % 4], bases[i % 4], calibrate(scheme, 0.05, bases[i % 4], n_cal=200), 16)
+                for scheme in ("rer", "ridge") for i in range(16)]
+        calls = []
+
+        def spy(stack, k, rows, weights=None):
+            calls.append((len(stack), k, rows.shape, weights is None))
+            return stacked(stack, k, rows, weights)
+
+        stacked = engine._stacked_distances
+        monkeypatch.setattr(engine, "_stacked_distances", spy)
+        streams = [RngStream(72).child(i) for i in range(len(runs))]
+        out = np.empty((len(runs), 600), dtype=np.int8)
+        result = engine._lockstep(600, self._searches(runs, streams), out)
+        assert calls == [(16, 120, (16, 16, 600), True), (16, 120, (16, 16, 600), False)]
+        self._assert_alone(runs, streams, out, *result)
+
+    def test_one_round_mixes_k_and_batch_sizes(self, monkeypatch):
+        # 8 pca searches at k = 2 and 3, half capped at 20 draws: the second
+        # round draws 64 rows for some and the last 4 for others, and each
+        # (k, rows) group of it is one stacked product
+        n = 30
+        (x, basis), *_ = self._designs(n)
+        crits = {k: calibrate("pca", 0.001, basis, k=k) for k in (2, 3)}
+        runs = [(x, basis, crits[k], m) for k in (2, 3) for m in (20, 1500)] * 2
+        calls = []
+
+        def spy(stack, k, rows, weights=None):
+            calls.append((k, rows.shape[:2]))
+            return stacked(stack, k, rows, weights)
+
+        stacked = engine._stacked_distances
+        monkeypatch.setattr(engine, "_stacked_distances", spy)
+        streams = [RngStream(73).child(i) for i in range(len(runs))]
+        out = np.empty((len(runs), n), dtype=np.int8)
+        result = engine._lockstep(n, self._searches(runs, streams), out)
+        assert calls[:2] == [(2, (4, 16)), (3, (4, 16))]
+        assert calls[2:6] == [(2, (2, 4)), (3, (2, 4)), (2, (2, 64)), (3, (2, 64))]
+        self._assert_alone(runs, streams, out, *result)
+
     def test_rows_in_flight_stay_within_the_cap(self, monkeypatch):
         # 40 searches: chunks of 16 searches at 16 rows, 4 at 64, 1 at 256,
         # then 32 at the 8 rows left of max_draws
