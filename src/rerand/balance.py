@@ -250,13 +250,16 @@ def _stacked_distances(bases, k: int, rows: np.ndarray, weights=None) -> np.ndar
     (S, b, n) exact-split rows (b <= _BLOCK_ROWS) on the leading k
     components of bases[i], weighted by weights[i] if weights is given.
 
-    The stacked u slices go in transposed and the rows as float,
-    transposed, so each (k, n, b) matrix product has the layout of its
-    `_term_blocks` call and its bits (a C-contiguous copy of u' changes
-    the last bit).
+    The stacked u slices (a broadcast view, not S copies, when every batch
+    shares one basis) go in transposed and the rows as float, transposed,
+    so each (k, n, b) matrix product has the layout of its `_term_blocks`
+    call and its bits (a C-contiguous copy of u' changes the last bit).
     """
-    n = rows.shape[2]
-    u = np.stack([b.u[:, :k] for b in bases])
+    n, us = rows.shape[2], [b.u[:, :k] for b in bases]
+    if all(b is bases[0] for b in bases):  # accepted_sample's substreams
+        u = np.broadcast_to(us[0], (len(us), *us[0].shape))
+    else:
+        u = np.stack(us)
     t = np.matmul(u.transpose(0, 2, 1), rows.astype(float).transpose(0, 2, 1))
     np.square(t, out=t)
     t *= _term_scale(n, (n + 1) // 2)

@@ -774,14 +774,18 @@ class TestPredictReduction:
 
 
 class TestStackedDistances:
+    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("n, d, k, rows", [(30, 5, 3, 16), (31, 7, None, 7), (100, 10, 4, 64),
                                                (200, 50, 20, 16), (500, 90, 29, 256)])
-    def test_each_batch_has_the_bits_of_its_own_call(self, n, d, k, rows):
-        # one product for four bases, each batch with the bits of its own
-        # _batch_distances call: the top-k sum (all d components at k =
-        # None) and the ridge-weighted sum over all of them
+    def test_each_batch_has_the_bits_of_its_own_call(self, n, d, k, rows, shared):
+        # one product for four bases (or four batches on one basis, which is
+        # broadcast), each batch with the bits of its own _batch_distances
+        # call: the top-k sum (all d components at k = None) and the
+        # ridge-weighted sum over all of them
         designs = np.random.default_rng(n).standard_normal((4, n, d))
         bases = [decompose(standardize(a)) for a in designs]
+        if shared:
+            bases = bases[:1] * 4
         gens = [RngStream(9).child(i).generator() for i in range(4)]
         w = half_split_matrix(n, rows, gens).reshape(4, rows, n)
         weights = [_ridge_weights(b, sigma_factor(n - n // 2, n // 2), 0.3) for b in bases]
