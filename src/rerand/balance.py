@@ -259,7 +259,7 @@ def _stacked_distances(bases, k: int, rows: np.ndarray, weights=None) -> np.ndar
     if all(b is bases[0] for b in bases):  # accepted_sample's substreams
         u = np.broadcast_to(us[0], (len(us), *us[0].shape))
     else:
-        u = np.stack(us)
+        u = np.array(us)
     t = np.matmul(u.transpose(0, 2, 1), rows.astype(float).transpose(0, 2, 1))
     np.square(t, out=t)
     t *= _term_scale(n, (n + 1) // 2)

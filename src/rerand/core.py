@@ -144,25 +144,22 @@ def _stream_keys(seed: int, ids: np.ndarray) -> list[list[int]]:
     constants advancing with every word. SeedSequence(seed).pool is the
     state after the seed's words, so only the id words are hashed here.
     """
-    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(ids), axis=1)
-    # the hash constant after the seed's words: 4 hashes per word, 4 words at least
-    hc = _INIT_A * pow(_MULT_A, 4 * max(4, -(-seed.bit_length() // 32)), 1 << 32) % (1 << 32)
-    for word, used in ((ids & 0xFFFFFFFF, None), (ids >> 32, ids >> 32 != 0)):
-        word, mixed = word.astype(np.uint32), pool.copy()
-        for dst in range(4):
-            h = word ^ hc
-            hc = hc * _MULT_A % (1 << 32)
-            h *= hc
-            h ^= h >> 16
-            mixed[dst] = _MIX_L * mixed[dst] - _MIX_R * h
-            mixed[dst] ^= mixed[dst] >> 16
-        pool = mixed if used is None else np.where(used, mixed, pool)
-    hc = _INIT_B
-    for i in range(4):
-        pool[i] ^= hc
-        hc = hc * _MULT_B % (1 << 32)
-        pool[i] *= hc
-        pool[i] ^= pool[i] >> 16
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # the hash constants of the id words' 4 + 4 hashes, after 4 per seed word
+    # (4 words at least), and of the 4 output words
+    start = 4 * max(4, -(-seed.bit_length() // 32))
+    ha = np.array([_INIT_A * pow(_MULT_A, start + j, 1 << 32) % (1 << 32) for j in range(9)],
+                  dtype=np.uint32)[:, None]
+    hb = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) % (1 << 32) for j in range(5)],
+                  dtype=np.uint32)[:, None]
+    for w, word in enumerate((ids & 0xFFFFFFFF, ids >> 32)):
+        h = (word.astype(np.uint32) ^ ha[4 * w : 4 * w + 4]) * ha[4 * w + 1 : 4 * w + 5]
+        h ^= h >> 16
+        mixed = _MIX_L * pool - _MIX_R * h
+        mixed ^= mixed >> 16
+        pool = mixed if w == 0 else np.where(word != 0, mixed, pool)
+    pool = (pool ^ hb[:4]) * hb[1:]
+    pool ^= pool >> 16
     keys = pool[0::2].astype(np.uint64) | pool[1::2].astype(np.uint64) << 32
     return keys.T.tolist()
 
