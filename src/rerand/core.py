@@ -147,7 +147,7 @@ def _stream_keys(seed: int, ids: np.ndarray) -> list[list[int]]:
     pool = np.random.SeedSequence(seed).pool[:, None]
     # the hash constants of the id words' 4 + 4 hashes, after 4 per seed word
     # (4 words at least), and of the 4 output words
-    start = 4 * max(4, -(-seed.bit_length() // 32))
+    start = 4 * max(4, -(-int(seed).bit_length() // 32))
     ha = np.array([_INIT_A * pow(_MULT_A, start + j, 1 << 32) % (1 << 32) for j in range(9)],
                   dtype=np.uint32)[:, None]
     hb = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) % (1 << 32) for j in range(5)],
