@@ -259,30 +259,32 @@ def _parse_config(path) -> _Config:
 
 
 def _grid_from_config(cfg: _Config) -> FactorGrid:
+    """The study grid of cfg; a FactorGrid error keeps its `field` tag."""
     for req in ("n", "d", "rho"):
         if req not in cfg:
             raise ValueError(f"{cfg.path}: config is missing required key {req!r}")
     values = {name: cfg.parse(key, parse)
               for key, (name, parse) in _GRID_KEYS.items() if key in cfg}
-    try:
-        return FactorGrid(**values)
-    except ValueError as exc:  # one field's error names its key's line
-        key = _FIELD_KEYS.get(getattr(exc, "field", None))
-        where = f"{cfg.path}:{cfg.lines[key]}" if key in cfg else cfg.path
-        raise ValueError(f"{where}: {exc}") from None
+    return FactorGrid(**values)
 
 
 def _cmd_simulate(args) -> int:
     if not args.config:
         raise ValueError("simulate requires --config")
     cfg = _parse_config(args.config)
-    grid = _grid_from_config(cfg)
-    if args.seed is None and "seed" in cfg:
-        seed = cfg.parse("seed", _seed)
-    else:
-        seed = _resolve_seed(args)
-
-    report = run_study(grid, seed)
+    try:
+        grid = _grid_from_config(cfg)
+        if args.seed is None and "seed" in cfg:
+            seed = cfg.parse("seed", _seed)
+        else:
+            seed = _resolve_seed(args)
+        report = run_study(grid, seed)
+    except ValueError as exc:  # one field's error, the grid's or ridge's lambda, names its line
+        if not hasattr(exc, "field"):
+            raise
+        key = _FIELD_KEYS.get(exc.field)
+        where = f"{cfg.path}:{cfg.lines[key]}" if key in cfg else cfg.path
+        raise ValueError(f"{where}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(report, os.path.join(args.out, "metrics.csv"))
     write_summary_json(report, os.path.join(args.out, "summary.json"))

@@ -15,15 +15,15 @@ n >= 500 a row's distance depends on its batch's row count, through
 OpenBLAS's small-matrix switch near rows * n * k = 10**6 (at 500 x 90,
 k = 29, 16 to 64 rows give one set of bits, 96 to 256 another).
 
-Batches hold 16, 64 and then 256 rows each. Small first batches suit the
-common case, where a criterion accepts within a few dozen draws. The cap
-bounds the waste of a hard search: rows drawn after the accepted one are
-thrown away, and a larger final batch throws more of them away at the
-full cost of sampling and projecting each row (at p_a = 0.001 on a
-500 x 90 design a 1024-row cap drew 1.35 rows per row used, the 256-row
-cap 1.09). A smaller cap would pay more per-batch overhead than it saves.
-The cap also bounds a round of lockstep searches: they draw in chunks of
-at most 256 rows together (16 searches at 16 rows, 4 at 64, 1 at 256).
+Batches hold 16, 16, 48 and then 256 rows. Rows drawn after the accepted
+one are thrown away, each at the full cost of sampling and projecting
+it, so small first batches suit the common case, where a criterion
+accepts within a few dozen draws (the desk study draws 1.86 rows per row
+used, 2.41 with one 64-row second batch). The cap bounds the waste of a
+hard search (at p_a = 0.001 on a 500 x 90 design a 1024-row cap drew
+1.35 rows per row used, the 256-row cap 1.09) and a lockstep round:
+searches draw in chunks of at most 256 rows (16 searches at 16 rows, 5
+at 48, 1 at 256).
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .core import (
 )
 from .spectral import SpectralBasis, decompose
 
-# Rejection batches grow 16, 64, 256, 256, ... (see the module docstring).
-# The cap stays within balance's projection block, so each batch is
-# projected in one step.
-_BATCH_START = 16
-_BATCH_CAP = 256
+# Rejection batch sizes; the last repeats (see the module docstring). The
+# cap stays within balance's projection block, so each batch is projected
+# in one step.
+_BATCHES = (16, 16, 48, 256)
+_BATCH_CAP = _BATCHES[-1]
 
 DEFAULT_MAX_DRAWS = 10**6
 
@@ -147,8 +147,9 @@ def _lockstep(n: int, runs, out: np.ndarray):
     limit = np.array([np.inf if c.scheme == "cr" else c.threshold for c, _, _, _ in runs])
     kinds = [None if c.scheme == "cr" else (c.scheme == "ridge", c.k or b.p) for c, b, _, _ in runs]
     values, at = np.full(len(runs), np.inf), np.arange(len(runs))
-    live, done, batch = at, 0, _BATCH_START
+    live, done, batches = at, 0, iter(_BATCHES)
     while len(live):
+        batch = next(batches, _BATCH_CAP)
         groups = {batch: live}
         if done + batch > floor:  # a search may reach its cap in this batch
             counts = np.minimum(caps[live] - done, batch)
@@ -173,7 +174,6 @@ def _lockstep(n: int, runs, out: np.ndarray):
                 caps[chunk[hit]] = pick[hit] + (done + 1)
         done += batch
         live = live[caps[live] > done]
-        batch = min(batch * 4, _BATCH_CAP)
     return values, caps, values <= limit
 
 

@@ -45,8 +45,8 @@ BETA_CHOICES = ("ones", "half_doubled", "spectral")
 _COV, _NOISE, _ALLOC = 1, 2, 3
 
 # The study kernel stacks replications while their master matrices fit in
-# this many bytes: 16 at desk's 100 x 10, one at the factorial's 1000 x 180.
-_STACK_BYTES = 1 << 17
+# this many bytes: 65 at desk's 100 x 10, one at the factorial's 1000 x 180.
+_STACK_BYTES = 1 << 19
 
 
 def _field_error(name: str, message: str) -> ValueError:
@@ -343,7 +343,10 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
             for rule, basis, k in zip(rules, bases, kl):
                 if rule not in crits:
                     t0 = time.perf_counter()
-                    crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                    try:
+                        crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                    except ValueError as exc:  # ridge's lam, negligible on this basis
+                        raise _field_error("lam", str(exc)) from None
                     cost, v = (time.perf_counter() - t0) / shares[rule], crit.shrinkage
                     crits[rule] = crit, cost, np.nan if v is None else v
             runs, lo = [], 2 * size + (ci * len(schemes) + si) * size

@@ -327,8 +327,8 @@ class TestSimulate:
         assert main(["simulate", "--config", str(master), "--out", out]) == 1
         assert "unknown key 'master_n'" in capsys.readouterr().err
 
-        # a setting the grid rejects names the file, and the line of the one
-        # key it is about; a rule over two keys names the file alone
+        # a setting the grid or the study rejects names the file, and the line
+        # of the one key it is about; a rule over two keys names the file alone
         for extra, where, why in (
             ("tau = nan\n", ":4", "tau must be finite"),
             ("max_draws = 0\n", ":4", "max_draws must be at least 1"),
@@ -344,6 +344,10 @@ class TestSimulate:
             ("schemes = ridge\nlambda = 0\n", ":5",
              "ridge needs a positive lambda that is not negligible against the spectrum; at "
              "lambda = 0 every ridge weight is 1 and it is the 'rer' scheme"),
+            # negligible on every basis, found at the first ridge calibration
+            ("schemes = ridge\nlambda = 1e-300\n", ":5",
+             "ridge needs a positive lambda that is not negligible against the spectrum; at "
+             "lambda = 1e-300 every ridge weight is 1 and it is the 'rer' scheme"),
             ("replications = 7\ngroups = 5\n", ":4", "replications must be divisible by groups"),
             ("groups = 5\nreplications = 7\n", ":5", "replications must be divisible by groups"),
             ("replications = 0\n", ":4", "replications and groups must be positive"),

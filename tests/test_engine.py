@@ -18,7 +18,7 @@ from rerand.balance import (
 )
 from rerand.core import RngStream, half_split_matrix, make_allocation, standardize
 from rerand.engine import (
-    _BATCH_START,
+    _BATCHES,
     accepted_sample,
     complete_randomization,
     rerandomize,
@@ -125,8 +125,8 @@ class TestRerandomize:
         # single generator call, so the draw order is directly replayable
         x, basis = _setup(40, 4, 8)
         crit = calibrate("rer", 0.3, basis)
-        res = rerandomize(x, crit, RngStream(9), max_draws=_BATCH_START, basis=basis)
-        rows = half_split_matrix(40, _BATCH_START, RngStream(9).generator())
+        res = rerandomize(x, crit, RngStream(9), max_draws=_BATCHES[0], basis=basis)
+        rows = half_split_matrix(40, _BATCHES[0], RngStream(9).generator())
         dists = batch_distances(crit, basis, rows)
         hits = np.nonzero(dists <= crit.threshold)[0]
         assert hits.size and res.accepted
@@ -144,10 +144,10 @@ class TestRerandomize:
     def test_exhaustion_returns_best_so_far(self):
         x, basis = _setup(40, 4, 10)
         crit = dataclasses.replace(calibrate("rer", 0.05, basis), threshold=1e-9)
-        res = rerandomize(x, crit, RngStream(11), max_draws=_BATCH_START, basis=basis)
+        res = rerandomize(x, crit, RngStream(11), max_draws=_BATCHES[0], basis=basis)
         assert not res.accepted
-        assert res.draws_attempted == _BATCH_START
-        rows = half_split_matrix(40, _BATCH_START, RngStream(11).generator())
+        assert res.draws_attempted == _BATCHES[0]
+        rows = half_split_matrix(40, _BATCHES[0], RngStream(11).generator())
         dists = batch_distances(crit, basis, rows)
         assert res.criterion_value == pytest.approx(float(dists.min()), rel=1e-12)
         np.testing.assert_array_equal(
@@ -218,7 +218,7 @@ class TestRerandomize:
     @example("ridge", 0.001, 0, 1500)  # 1412
     @example("pca", 0.001, 0, 1500)  # exhausts: the best of 1500 draws
     def test_batched_loop_matches_draw_at_a_time(self, scheme, p_a, seed, max_draws):
-        # max_draws up to 1500 spans the 16- and 64-row batches and several
+        # max_draws up to 1500 spans the 16-, 16- and 48-row batches and several
         # capped 256-row ones; p_a = 0.001 makes runs reach them, and the
         # explicit examples end in the fourth or fifth capped batch
         x, basis, crit = _small_design(scheme, p_a)
@@ -231,13 +231,13 @@ class TestRerandomize:
         assert (res.draws_attempted, res.accepted) == (draws, accepted)
 
     def test_batch_schedule(self, monkeypatch):
-        # 16, 64, then capped at 256; the last batch stops at max_draws
+        # 16, 16, 48, then capped at 256; the last batch stops at max_draws
         x, basis = _setup(40, 5, 43)
         never = dataclasses.replace(calibrate("pca", 0.05, basis, k=3), threshold=-1.0)
         counts = _count_rows(monkeypatch)
         res = rerandomize(x, never, RngStream(44), max_draws=1000, basis=basis)
         assert not res.accepted and res.draws_attempted == 1000
-        assert counts == [16, 64, 256, 256, 256, 152]
+        assert counts == [16, 16, 48, 256, 256, 256, 152]
 
     def test_rows_thrown_away_stay_below_the_cap(self, monkeypatch):
         # At p_a = 0.001 the accepted draw lands in a capped batch; only the
@@ -380,7 +380,7 @@ class TestLockstep:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    # hits in the 16-row, 64-row and capped batches, exhaustion at a small
+    # hits in the 16-row, 48-row and capped batches, exhaustion at a small
     # cap, a degenerate rule, pca at several k, ridge and complete
     # randomization, at even and at odd n; the 0.2 runs fill more than one
     # 16-run chunk
@@ -440,13 +440,13 @@ class TestLockstep:
         self._assert_alone(runs, streams, out, *result)
 
     def test_one_round_mixes_k_and_batch_sizes(self, monkeypatch):
-        # 8 pca searches at k = 2 and 3, half capped at 20 draws: the second
-        # round draws 64 rows for some and the last 4 for others, and each
+        # 8 pca searches at k = 2 and 3, half capped at 50 draws: the third
+        # round draws 48 rows for some and the last 18 for others, and each
         # (k, rows) group of it is one stacked product
         n = 30
         (x, basis), *_ = self._designs(n)
         crits = {k: calibrate("pca", 0.001, basis, k=k) for k in (2, 3)}
-        runs = [(x, basis, crits[k], m) for k in (2, 3) for m in (20, 1500)] * 2
+        runs = [(x, basis, crits[k], m) for k in (2, 3) for m in (50, 1500)] * 2
         calls = []
 
         def spy(stack, k, rows, weights=None):
@@ -458,13 +458,43 @@ class TestLockstep:
         streams = [RngStream(73).child(i) for i in range(len(runs))]
         out = np.empty((len(runs), n), dtype=np.int8)
         result = engine._lockstep(n, self._searches(runs, streams), out)
-        assert calls[:2] == [(2, (4, 16)), (3, (4, 16))]
-        assert calls[2:6] == [(2, (2, 4)), (3, (2, 4)), (2, (2, 64)), (3, (2, 64))]
+        assert calls[:4] == [(2, (4, 16)), (3, (4, 16))] * 2
+        assert calls[4:8] == [(2, (2, 18)), (3, (2, 18)), (2, (2, 48)), (3, (2, 48))]
         self._assert_alone(runs, streams, out, *result)
 
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_batch_schedule_changes_no_search(self, monkeypatch, n):
+        # Rows come in order from each search's stream however they are split
+        # into batches, so the 16, 64, 256 schedule and the default end every
+        # search alike, alone and in lockstep. The caps of 20, 50 and 200
+        # draws end inside the second, third and fourth default batches.
+        (x, basis), _, _, ridge = self._designs(n)
+        crits = {"cr": calibrate("cr", 0.05, basis), "ridge": ridge[0.001],
+                 "rer": calibrate("rer", 0.001, basis), "pca": calibrate("pca", 0.001, basis, k=2)}
+        runs = [(x, basis, crits[scheme], m) for scheme in crits for m in (20, 50, 200, 1500)]
+        runs += [(x, basis, c, 1500) for c in (calibrate("pca", 0.02, basis, k=3), ridge[0.02])]
+        streams = [RngStream(74).child(i) for i in range(len(runs))]
+        counts = _count_rows(monkeypatch)
+
+        def ends():
+            # each search's row, value bits, draws and flag, in lockstep and alone
+            out = np.empty((len(runs), n), dtype=np.int8)
+            values, draws, accepted = engine._lockstep(n, self._searches(runs, streams), out)
+            alone = [rerandomize(x, c, s, m, basis=b) for (_, b, c, m), s in zip(runs, streams)]
+            return (out.tobytes(), values.tobytes(), draws.tolist(), accepted.tolist(),
+                    [(r.allocation.assignment.tobytes(), repr(r.criterion_value),
+                      r.draws_attempted, r.accepted) for r in alone])
+
+        default, rows = ends(), sum(counts)
+        assert 0 < sum(default[3]) < len(runs)  # some searches accept, some exhaust
+        counts.clear()
+        monkeypatch.setattr(engine, "_BATCHES", (16, 64, 256))
+        assert ends() == default
+        assert sum(counts) > rows  # the old schedule ran, and drew more rows
+
     def test_rows_in_flight_stay_within_the_cap(self, monkeypatch):
-        # 40 searches: chunks of 16 searches at 16 rows, 4 at 64, 1 at 256,
-        # then 32 at the 8 rows left of max_draws
+        # 40 searches: chunks of 16 searches at 16 rows (twice), 5 at 48,
+        # 1 at 256, then 32 at the 8 rows left of max_draws
         n = 30
         (x, basis), *_ = self._designs(n)
         crit = calibrate("pca", 0.001, basis, k=2)
@@ -479,4 +509,4 @@ class TestLockstep:
         engine._lockstep(n, runs, np.empty((40, n), dtype=np.int8))
         assert calls[:3] == [(16, 16), (16, 16), (16, 8)]
         assert all(count * m <= engine._BATCH_CAP for count, m in calls)
-        assert (256, 1) in calls and calls[-1][0] == 8  # the last 8 of 600 draws
+        assert {(48, 5), (256, 1)} <= set(calls) and calls[-1][0] == 8  # the last 8 of 600

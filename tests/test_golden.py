@@ -16,6 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rerand import simharness
 from rerand.cli import _grid_from_config, _parse_config, main
 from rerand.simharness import _stack_size
 
@@ -120,13 +121,19 @@ def test_simulate_bytes(tmp_path):
     assert _digests(out) == _SIMULATE
 
 
-def test_simulate_stacked_bytes(tmp_path):
-    cfg, out = tmp_path / "study.cfg", tmp_path / "run"
+def test_simulate_stacked_bytes(tmp_path, monkeypatch):
+    # the same bytes from two full stacks and a partial one (128 KiB of
+    # masters) and from one partial stack of 40 (the default)
+    cfg = tmp_path / "study.cfg"
     cfg.write_text(_STACKED)
-    stack = _stack_size(_grid_from_config(_parse_config(str(cfg))))
-    assert 40 // stack >= 2 and 40 % stack, stack  # two full stacks and a partial one
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert _digests(out) == _SIMULATE_STACKED
+    grid = _grid_from_config(_parse_config(str(cfg)))
+    for stack_bytes, stacks in ((1 << 17, [17, 17, 6]), (simharness._STACK_BYTES, [40])):
+        monkeypatch.setattr(simharness, "_STACK_BYTES", stack_bytes)
+        stack = _stack_size(grid)
+        assert [min(stack, 40 - lo) for lo in range(0, 40, stack)] == stacks
+        out = tmp_path / f"run{stack}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _digests(out) == _SIMULATE_STACKED
 
 
 def test_diagnose_bytes(tmp_path):

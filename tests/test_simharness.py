@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rerand import simharness
+from rerand import engine, simharness
 from rerand.balance import calibrate
 from rerand.core import (
-    Outcome, RngStream, group_means, make_allocation, sate_estimator, standardize,
+    Outcome, RngStream, group_means, half_split_matrix, make_allocation, sate_estimator,
+    standardize,
 )
 from rerand.engine import rerandomize
 from rerand.simharness import (
@@ -456,22 +457,42 @@ class TestStudyKernel:
         assert [b.p for b in bases] == [6, 5, 6]
         assert cell.k.tolist() == [select_k(b, grid.gamma).k for b in bases] == [6, 5, 6]
 
+    # configs/desk_study.cfg
+    DESK = FactorGrid((100,), (10,), (0.1, 0.9), schemes=("rer", "pca"),
+                      replications=500, groups=5)
+
     def test_desk_stack_memory(self):
         # A desk stack holds about four stack-sized arrays at once: the
         # masters, one cell's re-standardized copy, a standardize temporary
         # and the SVD factors. The rejection loop adds at most one 256-row
         # batch of 100 units (its 64-bit keys and their partitioned copy).
-        grid = FactorGrid((100,), (10,), (0.1, 0.9), schemes=("rer", "pca"),
-                          replications=500, groups=5)
-        assert _stack_size(grid) == 16
+        grid = self.DESK
+        assert _stack_size(grid) == 65
         _replications(grid, RngStream(116), 1, range(1))  # lazy imports, memos
         tracemalloc.start()
         try:
-            _replications(grid, RngStream(116), 1, range(16))
+            _replications(grid, RngStream(116), 1, range(65))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * _STACK_BYTES + 2**19
+
+    def test_desk_rows_per_draw(self, monkeypatch):
+        # Each search throws away the rows of its last batch after the one it
+        # accepts. At desk's acceptance of about 0.045, first batches of 16,
+        # 16 and 48 rows keep the rows sampled under 1.9 per draw (1.83 at
+        # the shipped seed; first batches of 16 and 64 rows sampled 2.31).
+        rows = []
+
+        def counting(n, count, gens):
+            out = half_split_matrix(n, count, gens)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(engine, "half_split_matrix", counting)
+        report = run_study(self.DESK, master_seed=20260826)
+        draws = sum(round(r.mean_draws * self.DESK.replications) for r in report.records)
+        assert sum(rows) <= 1.9 * draws
 
 
 def _hand_report():
