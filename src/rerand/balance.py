@@ -30,15 +30,15 @@ replays exactly the rows its threshold was set on. The ridge penalty is
 set from the covariates alone (default_lambda), following Branson & Shao
 (2021), never from outcome coefficients.
 
-The packed rows never leave this module. One generator, `_term_blocks`,
-unpacks, converts and projects them one 1024-row block at a time, and two
-consumers reduce each block before the next: `_batch_distances` (summed
-or ridge-weighted terms) and `_shrinkage` (per-component sums over all
-and over accepted rows). Calibration and the shrinkage estimate use
-these, so a warm ridge calibration at n = 1000, d = 180 peaks at about
-11 MB of allocation, never the 180 x 10000 terms. Packed and 0/1 rows go
-through the same block product, so a calibration row's distance is the
-one batch_distances gives for it unpacked.
+Every criterion value comes from one kernel: `_terms` projects 0/1 rows
+on a slice of u, or on an (S, n, k) stack of slices, and `_reduce` sums
+the terms or weights them by ridge. `batch_distances`, ridge calibration
+and the shrinkage estimate take their terms from `_blocks`, 1024 rows at
+a time: it unpacks the packed rows (they never leave this module) and
+reuses one float64 buffer, so a warm ridge calibration at n = 1000,
+d = 180 peaks at about 11 MB. The lockstep's stacked products
+(`_chunk_distances`) keep the layout of the one-search call, so every
+path gives a row the bits batch_distances gives it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ SCHEMES = ("cr", "rer", "ridge", "pca")
 # same inputs are identical across runs (and share one memoized draw).
 _CALIBRATION_STREAM = RngStream(seed=402653189, stream_id=11)
 
-# _term_blocks converts and projects allocation rows in blocks of this many.
+# _blocks projects allocation rows in blocks of this many.
 # The engine's rejection batches are smaller, so each batch is one block.
 _BLOCK_ROWS = 1024
 
@@ -211,61 +211,38 @@ def mahalanobis_ridge(
     return float((_ridge_weights(basis, c, lam) * t).sum())
 
 
-def _term_blocks(basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = None):
-    """Summands t_j of the leading k components (all p for k = None) of the
-    allocation rows of w, each with n_t treated units, one `_BLOCK_ROWS`-row
-    block at a time.
-
-    Yields one terms array per block, a column per row of the block, in a
-    buffer the next block overwrites, so a 10000-row calibration never
-    holds more than one block in float64. The slice keeps the top-k cost
-    per draw at O(nk). Rows are 0/1 of length n or, ceil(n/8) bytes wide,
-    bit-packed as half_split_matrix gives a stream's rows; packed rows are
-    unpacked one block at a time. A row's terms depend only on the block
-    it falls in, so every reduction of the same rows sees the same bits.
-    """
-    n = basis.n
-    packed = w.shape[1] != n  # n >= 2, so ceil(n/8) < n
-    ut = basis.u[:, :k].T
-    buf = np.empty((ut.shape[0], min(len(w), _BLOCK_ROWS)))
-    scale = _term_scale(n, n_t)
-    for lo in range(0, len(w), _BLOCK_ROWS):
-        rows = w[lo : lo + _BLOCK_ROWS]
-        if packed:
-            rows = np.unpackbits(rows, axis=1, count=n)
-        t = buf[:, : len(rows)]
-        np.matmul(ut, rows.astype(float).T, out=t)
-        np.square(t, out=t)
-        t *= scale
-        yield t
-
-
-def _term_scale(n: int, n_t: int) -> float:
-    """r (n-1), the factor of every summand t_j at n_t treated of n units."""
-    return (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
-
-
-def _stacked_distances(bases, k: int, rows: np.ndarray, weights=None) -> np.ndarray:
-    """_batch_distances of S searches in one product, (S, b): batch i of the
-    (S, b, n) exact-split rows (b <= _BLOCK_ROWS) on the leading k
-    components of bases[i], weighted by weights[i] if weights is given.
-
-    The stacked u slices (a broadcast view, not S copies, when every batch
-    shares one basis) go in transposed and the rows as float, transposed,
-    so each (k, n, b) matrix product has the layout of its `_term_blocks`
-    call and its bits (a C-contiguous copy of u' changes the last bit).
-    """
-    n, us = rows.shape[2], [b.u[:, :k] for b in bases]
-    if all(b is bases[0] for b in bases):  # accepted_sample's substreams
-        u = np.broadcast_to(us[0], (len(us), *us[0].shape))
-    else:
-        u = np.array(us)
-    t = np.matmul(u.transpose(0, 2, 1), rows.astype(float).transpose(0, 2, 1))
+def _terms(u: np.ndarray, rows: np.ndarray, n_t: int, out=None) -> np.ndarray:
+    """Summands t_j of 0/1 rows that each treat n_t units: (k, b) for an
+    (n, k) slice of u and (b, n) rows, (S, k, b) for (S, n, k) and (S, b, n)
+    stacks. u goes in transposed and the rows as float, transposed, so each
+    matrix of a stack keeps the layout and bits of its own call."""
+    n = rows.shape[-1]
+    t = np.matmul(u.swapaxes(-1, -2), rows.astype(float).swapaxes(-1, -2), out=out)
     np.square(t, out=t)
-    t *= _term_scale(n, (n + 1) // 2)
+    t *= (1.0 / n_t + 1.0 / (n - n_t)) * (n - 1)
+    return t
+
+
+def _reduce(t: np.ndarray, weights=None) -> np.ndarray:
+    """Criterion values of the terms t: summed, or weighted by the ridge
+    weights (a length-p vector per matrix of t)."""
     if weights is None:
-        return np.add.reduce(t, axis=1)
-    return np.array([w @ ti for w, ti in zip(weights, t)])
+        return np.add.reduce(t, axis=-2)
+    return weights @ t if t.ndim == 2 else np.array(list(map(np.matmul, weights, t)))
+
+
+def _blocks(u: np.ndarray, w: np.ndarray, n_t: int):
+    """The `_terms` of the rows of w on the (n, k) slice u, one
+    `_BLOCK_ROWS`-row block at a time in one reused float64 buffer, so a
+    10000-row calibration holds one block in float64. Packed rows
+    (ceil(n/8) bytes wide, as half_split_matrix memoizes a stream's) are
+    unpacked a block at a time."""
+    n, buf = len(u), np.empty((u.shape[1], min(len(w), _BLOCK_ROWS)))
+    for lo in range(0, len(w), _BLOCK_ROWS):
+        rows = w[lo : lo + _BLOCK_ROWS]  # frees the last block before unpacking
+        if rows.shape[1] != n:  # n >= 2, so ceil(n/8) < n
+            rows = np.unpackbits(rows, axis=1, count=n)
+        yield _terms(u, rows, n_t, buf[:, : len(rows)])
 
 
 def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
@@ -274,15 +251,9 @@ def _ridge_weights(basis: SpectralBasis, c: float, lam: float) -> np.ndarray:
     return scaled / (scaled + lam)
 
 
-def _batch_distances(
-    basis: SpectralBasis, w: np.ndarray, n_t: int, k: int | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """batch_distances without its checks, for rows of `_term_blocks`: the
-    sum of each row's terms, or with ridge weights (a vector of length p)
-    the weighted sum."""
-    blocks = _term_blocks(basis, w, n_t, k)
-    parts = [np.add.reduce(t) if weights is None else weights @ t for t in blocks]
+def _batch_distances(basis: SpectralBasis, w, n_t: int, k: int, weights=None) -> np.ndarray:
+    """batch_distances unchecked, on the leading k components, for rows of `_blocks`."""
+    parts = [_reduce(t, weights) for t in _blocks(basis.u[:, :k], w, n_t)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -292,8 +263,8 @@ def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresho
     is at most the threshold, over the mean term of all rows; all ones
     when no row is accepted."""
     total, kept, n_acc = np.zeros(basis.p), np.zeros(basis.p), 0.0
-    for t in _term_blocks(basis, w, (basis.n + 1) // 2):
-        acc = (weights @ t <= threshold).astype(float)
+    for t in _blocks(basis.u, w, (basis.n + 1) // 2):
+        acc = (_reduce(t, weights) <= threshold).astype(float)
         total += t.sum(axis=1)
         kept += acc @ t.T
         n_acc += acc.sum()
@@ -302,15 +273,58 @@ def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresho
     return kept / n_acc / (total / len(w))
 
 
+def _components(criterion: BalanceCriterion, basis: SpectralBasis) -> int:
+    """The count of leading components of basis a criterion sums; ValueError
+    for a "pca" k above the rank p or a "rer" dof other than p."""
+    k, dof, p = criterion.k, criterion.dof, basis.p
+    if (k or 0) > p or criterion.scheme == "rer" and dof not in (None, p):
+        raise ValueError(f"the {criterion.scheme} rule sums {k or dof} components but the basis "
+                         f"has rank p = {p}; calibrate it on this basis")
+    return k or p
+
+
+def _chunk_distances(runs):
+    """The lockstep's per-chunk distances for searches runs[j] = (criterion,
+    basis, ...), each criterion checked against its basis once, here.
+
+    It maps search indexes js and their (len(js), b, n) exact-split rows to
+    their values ("cr" rows are 0.0). One search goes through
+    batch_distances; otherwise the searches of one kind of terms and
+    component count share one stacked `_terms` product.
+    """
+    kinds = [None if c.scheme == "cr" else (c.scheme == "ridge", _components(c, b))
+             for c, b, *_ in runs]
+
+    def distances(js, rows):
+        if len(js) == 1 and kinds[js[0]] is not None:
+            return batch_distances(*runs[js[0]][:2], rows[0])[None]
+        d, groups = np.zeros(rows.shape[:2]), {}
+        for i, j in enumerate(js):
+            if kinds[j] is not None:
+                groups.setdefault(kinds[j], []).append(i)
+        for (ridge, k), group in groups.items():
+            searches = [runs[js[i]] for i in group]
+            us = [s[1].u[:, :k] for s in searches]
+            shared = all(s[1] is searches[0][1] for s in searches)  # accepted_sample
+            u = np.broadcast_to(us[0], (len(us), *us[0].shape)) if shared else np.array(us)
+            t = _terms(u, rows[group], (rows.shape[2] + 1) // 2)
+            d[group] = _reduce(t, [_ridge_weights(b, c.sigma_factor, c.lam)
+                                   for c, b, *_ in searches] if ridge else None)
+        return d
+
+    return distances
+
+
 def batch_distances(
     criterion: BalanceCriterion, basis: SpectralBasis, w_matrix: np.ndarray
 ) -> np.ndarray:
     """Criterion values for many allocations at once (rows of w_matrix).
 
     w_matrix holds 0/1 rows of length n that all treat the same number of
-    units, strictly between 0 and n (ValueError otherwise). Rows are
-    reduced to distances one `_BLOCK_ROWS`-row block at a time, so the
-    float64 memory held is one block's, whatever the number of rows.
+    units, strictly between 0 and n, and basis has the rank a "rer" dof or
+    at most a "pca" k needs (ValueError otherwise). Rows are reduced to
+    distances one `_BLOCK_ROWS`-row block at a time, so the float64 memory
+    held is one block's, whatever the number of rows.
 
     The top-k criterion touches only the first k left singular vectors,
     so its per-draw cost is O(nk) against O(np) for the full and ridge
@@ -321,6 +335,11 @@ def batch_distances(
     w, n = np.asarray(w_matrix), basis.n
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("allocation length disagrees with basis rows")
+    k = _components(criterion, basis)
+    # 0/1 entries: the OR of all bytes of int8, uint8 or bool rows is at most 1 exactly then
+    if (np.bitwise_or.reduce(w.view(np.uint8), axis=None) > 1 if w.itemsize == 1
+            else np.count_nonzero((w != 0) & (w != 1))):
+        raise ValueError("allocation rows must hold only 0 and 1")
     # one integer row sum; int16 is twice as fast as int32 at n = 1000 and
     # cannot overflow on 0/1 rows below 2**15 units
     counts = np.add.reduce(w, axis=1, dtype=np.int16 if n < 2**15 else np.int32)
@@ -330,7 +349,7 @@ def batch_distances(
     weights = None
     if criterion.scheme == "ridge":
         weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
-    return _batch_distances(basis, w, n_t, criterion.k, weights)
+    return _batch_distances(basis, w, n_t, k, weights)
 
 
 def default_lambda(basis: SpectralBasis) -> float:
@@ -387,7 +406,7 @@ def calibrate(
         if n_cal < 1:
             raise ValueError("n_cal must be at least 1")
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)
-        a = float(np.quantile(_batch_distances(basis, rows, (n + 1) // 2, weights=weights), p_a))
+        a = float(np.quantile(_batch_distances(basis, rows, (n + 1) // 2, basis.p, weights), p_a))
         return BalanceCriterion("ridge", p_a, c_n, threshold=a, lam=float(lam), n_cal=n_cal)
 
     if scheme == "rer":

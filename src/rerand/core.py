@@ -202,6 +202,8 @@ class RngStream:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.stream_id < 2**64:  # child ids are taken mod 2**64
+            raise ValueError(f"stream_id must lie in [0, 2**64), got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(

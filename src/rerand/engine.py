@@ -7,10 +7,11 @@ Candidate draws are evaluated in batches but acceptance is decided in
 draw order, so every search returns exactly the allocation a
 draw-at-a-time loop would accept.
 
-The searches of a chunk that share a kind of terms and a component count
-are projected in one stacked product (balance._stacked_distances), each
-matrix of it laid out as the search's own batch_distances call, so every
-distance keeps its bits. The batch schedule is part of the bits: at
+Distances come from balance's one kernel (balance._chunk_distances): the
+searches of a chunk that share a kind of terms and a component count are
+projected in one stacked product, each matrix of it laid out as the
+search's own batch_distances call, so every distance keeps its bits.
+The batch schedule is part of the bits: at
 n >= 500 a row's distance depends on its batch's row count, through
 OpenBLAS's small-matrix switch near rows * n * k = 10**6 (at 500 x 90,
 k = 29, 16 to 64 rows give one set of bits, 96 to 256 another).
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceCriterion, _ridge_weights, _stacked_distances, batch_distances
+from .balance import BalanceCriterion, _chunk_distances
 from .core import (
     Allocation, CovariateMatrix, RngStream, _child_ids, _generators, _stream_keys,
     as_generator, half_split_matrix,
@@ -104,7 +105,8 @@ def rerandomize(
     Returns the first accepted allocation. If max_draws is exhausted the
     allocation with the smallest criterion value seen is returned with
     accepted=False. A "cr" criterion, and a degenerate one (constant
-    distance), is decided on a single draw: complete randomization.
+    distance), is decided on a single draw: complete randomization. A
+    criterion that does not fit the basis is a ValueError.
 
     Args:
         x: standardized covariates.
@@ -137,7 +139,7 @@ def _lockstep(n: int, runs, out: np.ndarray):
     Every round, each live search draws its next batch, from one sampler
     call per chunk of _BATCH_CAP // batch searches (so at most _BATCH_CAP
     rows are in flight), and the chunk's distances, first hits and best
-    rows are found together (see _distances).
+    rows are found together.
     """
     # caps[j]: the draws search j may make, once it accepts the draws it
     # made; values[j]: its best value so far. It is live while its cap lies
@@ -145,7 +147,7 @@ def _lockstep(n: int, runs, out: np.ndarray):
     caps = [1 if c.scheme == "cr" or c.degenerate else m for c, _, _, m in runs]
     floor, caps = min(caps, default=0), np.array(caps)
     limit = np.array([np.inf if c.scheme == "cr" else c.threshold for c, _, _, _ in runs])
-    kinds = [None if c.scheme == "cr" else (c.scheme == "ridge", c.k or b.p) for c, b, _, _ in runs]
+    distances = _chunk_distances(runs)
     values, at = np.full(len(runs), np.inf), np.arange(len(runs))
     live, done, batches = at, 0, iter(_BATCHES)
     while len(live):
@@ -160,7 +162,7 @@ def _lockstep(n: int, runs, out: np.ndarray):
                 chunk = group[lo : lo + step]
                 js, i, lim = chunk.tolist(), at[: len(chunk)], limit[chunk]
                 rows = half_split_matrix(n, count, [runs[j][2] for j in js]).reshape(-1, count, n)
-                d = _distances(runs, kinds, js, rows)
+                d = distances(js, rows)
                 # every hit is raised to the limit, which no miss reaches, and
                 # argmin takes the first minimum: the first hit, else the best
                 pick = np.maximum(d, lim[:, None]).argmin(axis=1)
@@ -177,32 +179,6 @@ def _lockstep(n: int, runs, out: np.ndarray):
     return values, caps, values <= limit
 
 
-def _distances(runs, kinds, js, rows) -> np.ndarray:
-    """The criterion values of searches js, rows[i] the batch of runs[js[i]];
-    kinds[j] is None for "cr" (its rows are all 0.0), else search j's kind
-    of terms (ridge-weighted or summed) and its component count.
-
-    A chunk of one search goes through batch_distances, check included.
-    In a larger chunk the searches of one kind and count share one stacked
-    product (balance._stacked_distances), which skips the exact-split
-    check: the sampler makes every row one. Each distance has the bits of
-    its search alone either way.
-    """
-    if len(js) == 1 and kinds[js[0]] is not None:
-        return batch_distances(runs[js[0]][0], runs[js[0]][1], rows[0])[None]
-    d, groups = np.zeros(rows.shape[:2]), {}
-    for i, j in enumerate(js):
-        if kinds[j] is not None:
-            groups.setdefault(kinds[j], []).append(i)
-    for (ridge, k), group in groups.items():
-        searches = [runs[js[i]] for i in group]
-        bases, weights = [b for _, b, _, _ in searches], None
-        if ridge:
-            weights = [_ridge_weights(b, c.sigma_factor, c.lam) for c, b, _, _ in searches]
-        d[group] = _stacked_distances(bases, k, rows[group], weights)
-    return d
-
-
 def accepted_sample(
     x: CovariateMatrix,
     criterion: BalanceCriterion,
@@ -216,7 +192,8 @@ def accepted_sample(
     Substream i is rng.child(i), so any prefix of the sample is
     reproducible independently of n_accepted. Raises if any substream
     exhausts max_draws without an acceptance, and before any draw if the
-    rule is degenerate below its constant distance (it can accept nothing).
+    rule is degenerate below its constant distance (it can accept nothing)
+    or does not fit the basis.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("accepted_sample needs an RngStream to derive substreams")
@@ -228,7 +205,7 @@ def accepted_sample(
     if basis is None and criterion.scheme != "cr":
         basis = decompose(x)
     rows = np.empty((n_accepted, x.n), dtype=np.int8)
-    ids = _child_ids(np.array([rng.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+    ids = _child_ids(np.array([rng.stream_id], dtype=np.uint64),
                      np.arange(n_accepted, dtype=np.uint64))
     runs = [(criterion, basis, gen, max_draws) for gen in _generators(_stream_keys(rng.seed, ids))]
     _, _, accepted = _lockstep(x.n, runs, rows)

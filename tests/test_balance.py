@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rerand import balance
 from rerand.balance import (
     _CALIBRATION_STREAM,
     BalanceCriterion,
     DegenerateRuleWarning,
     _batch_distances,
+    _blocks,
+    _chunk_distances,
     _ridge_weights,
-    _stacked_distances,
-    _term_blocks,
+    _terms,
     batch_distances,
     calibrate,
     default_lambda,
@@ -248,7 +250,7 @@ class TestBatchDistances:
         rows = half_split_matrix(1000, count, RngStream(71).generator())
 
         def terms(w):
-            return np.concatenate([t.copy() for t in _term_blocks(basis, w, 500, k)], axis=1)
+            return np.concatenate([t.copy() for t in _blocks(basis.u[:, :k], w, 500)], axis=1)
 
         whole = terms(rows)
         blocks = [terms(rows[lo : lo + 1024]) for lo in range(0, len(rows), 1024)]
@@ -271,7 +273,7 @@ class TestBatchDistances:
             BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam, n_cal=10000),
         ):
             got = _batch_distances(
-                basis, packed, 31, crit.k, weights if crit.scheme == "ridge" else None
+                basis, packed, 31, crit.k or basis.p, weights if crit.scheme == "ridge" else None
             )
             assert got.shape == (count,)
             assert got.tobytes() == batch_distances(crit, basis, rows).tobytes()
@@ -312,6 +314,41 @@ class TestBatchDistances:
         rows[1, np.argmin(rows[1])] = 1
         with pytest.raises(ValueError, match="same number of units"):
             batch_distances(crit, basis, rows)
+
+    def test_rows_must_be_0_1(self):
+        # Rows that pass the treated-count check with entries other than 0/1
+        # gave distances: [[2,0,0,0],[1,1,0,0]] read 2.19 and 0.63 on a
+        # 4-unit design, [[1,1,-1,1]] 5.47.
+        x, basis = _setup(12, 3, 101)
+        crit = calibrate("rer", 0.05, basis)
+        half = [1] * 6 + [0] * 6
+        bad = {np.int8: ([2] + [1] * 4 + [0] * 7, [1] * 7 + [-1] + [0] * 4),
+               np.uint8: ([2] + [1] * 4 + [0] * 7, [3] + [1] * 3 + [0] * 8),
+               np.int64: ([2] + [1] * 4 + [0] * 7, [1] * 7 + [-1] + [0] * 4),
+               float: ([0.5, 0.5] + [1] * 5 + [0] * 5, [np.nan] + [1] * 6 + [0] * 5)}
+        for dtype, rows in bad.items():
+            for row in rows:
+                with pytest.raises(ValueError, match="only 0 and 1"):
+                    batch_distances(crit, basis, np.array([row, half], dtype=dtype))
+        rows = half_split_matrix(12, 5, RngStream(102).generator())
+        want = batch_distances(crit, basis, rows).tobytes()
+        for dtype in (bool, np.uint8, np.int64, float):
+            assert batch_distances(crit, basis, rows.astype(dtype)).tobytes() == want
+
+    def test_criterion_must_fit_the_basis(self):
+        # A pca rule at k = 4 and a rer rule at dof = 5, both calibrated on a
+        # rank-5 design, summed the 3 terms of a rank-3 design against their
+        # chi-square thresholds at 4 and 5 degrees of freedom.
+        _, wide = _setup(20, 5, 103)
+        _, narrow = _setup(20, 3, 104)
+        rows = half_split_matrix(20, 4, RngStream(105).generator())
+        for crit in (calibrate("pca", 0.05, wide, k=4), calibrate("rer", 0.05, wide)):
+            with pytest.raises(ValueError, match=f"sums {crit.dof} components .* rank p = 3"):
+                batch_distances(crit, narrow, rows)
+        # a smaller k fits, and so does a rule built by hand without a dof
+        assert batch_distances(calibrate("pca", 0.05, wide, k=3), narrow, rows).shape == (4,)
+        bare = BalanceCriterion("rer", 0.05, sigma_factor(10, 10), threshold=1.0)
+        assert batch_distances(bare, narrow, rows).shape == (4,)
 
     def test_cr_has_no_distance(self):
         x, basis = _setup(10, 3, 38)
@@ -778,22 +815,30 @@ class TestStackedDistances:
     @pytest.mark.parametrize("n, d, k, rows", [(30, 5, 3, 16), (31, 7, None, 7), (100, 10, 4, 64),
                                                (200, 50, 20, 16), (500, 90, 29, 256)])
     def test_each_batch_has_the_bits_of_its_own_call(self, n, d, k, rows, shared):
-        # one product for four bases (or four batches on one basis, which is
-        # broadcast), each batch with the bits of its own _batch_distances
-        # call: the top-k sum (all d components at k = None) and the
-        # ridge-weighted sum over all of them
+        # the lockstep's distances for four searches on four bases (or on one
+        # basis, which is broadcast), each kind in one stacked product, each
+        # batch with the bits of its own batch_distances call: the top-k sum
+        # ("rer" at k = None) and the ridge-weighted sum
         designs = np.random.default_rng(n).standard_normal((4, n, d))
         bases = [decompose(standardize(a)) for a in designs]
         if shared:
             bases = bases[:1] * 4
         gens = [RngStream(9).child(i).generator() for i in range(4)]
         w = half_split_matrix(n, rows, gens).reshape(4, rows, n)
-        weights = [_ridge_weights(b, sigma_factor(n - n // 2, n // 2), 0.3) for b in bases]
-        summed = _stacked_distances(bases, k or d, w)
-        weighted = _stacked_distances(bases, d, w, weights)
-        assert summed.shape == weighted.shape == (4, rows)
-        for i, b in enumerate(bases):
-            alone = _batch_distances(b, w[i], (n + 1) // 2, k)
-            assert summed[i].tobytes() == alone.tobytes()
-            alone = _batch_distances(b, w[i], (n + 1) // 2, weights=weights[i])
-            assert weighted[i].tobytes() == alone.tobytes()
+        c = sigma_factor(n - n // 2, n // 2)
+        summed = BalanceCriterion("pca" if k else "rer", 0.05, c, threshold=np.inf, k=k)
+        ridge = BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=0.3, n_cal=1)
+        products = []
+
+        def spy(u, rows, n_t, out=None):
+            products.append((u.shape, rows.shape))
+            return _terms(u, rows, n_t, out)
+
+        for crit in (summed, ridge):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(balance, "_terms", spy)
+                got = _chunk_distances([(crit, b) for b in bases])([0, 1, 2, 3], w)
+            assert got.shape == (4, rows)
+            for i, b in enumerate(bases):
+                assert got[i].tobytes() == batch_distances(crit, b, w[i]).tobytes()
+        assert products == [((4, n, k or d), w.shape), ((4, n, d), w.shape)]

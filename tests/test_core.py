@@ -208,6 +208,14 @@ class TestRngStream:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -4"):
             RngStream(-4)
 
+    def test_stream_id_out_of_range_is_named(self):
+        # 2**64 took the children of stream 0, and -1 failed only at the
+        # first draw (or, in accepted_sample, ran as 2**64 - 1)
+        for stream_id in (2**64, -1):
+            with pytest.raises(ValueError, match=f"stream_id must lie in .*got {stream_id}"):
+                RngStream(5, stream_id)
+        assert RngStream(5, 2**64 - 1).child(1) != RngStream(5, 0).child(1)
+
     @given(
         seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**140)),
         ids=st.lists(st.one_of(st.integers(0, 2**32), st.integers(0, 2**64 - 1)),

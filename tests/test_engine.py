@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rerand import engine
+from rerand import balance, engine
 from rerand.balance import (
     DegenerateRuleWarning,
     batch_distances,
@@ -340,6 +340,22 @@ class TestAcceptedSample:
         assert len(sample) == 3 and counts == [1]  # one call, one row per substream
 
 
+class TestCriterionBasis:
+    @pytest.mark.parametrize("scheme, k", [("pca", 4), ("rer", None)])
+    def test_engine_rejects_a_criterion_of_another_basis(self, scheme, k):
+        # calibrated on a rank-5 design, run on a rank-3 one: the pca rule
+        # summed 3 terms against its chi-square threshold at 4 degrees of
+        # freedom, the rer rule against 5; now one ValueError, before any draw
+        _, wide = _setup(20, 5, 106)
+        x, narrow = _setup(20, 3, 107)
+        crit = calibrate(scheme, 0.05, wide, k=k)
+        for call in (lambda: rerandomize(x, crit, RngStream(3), basis=narrow),
+                     lambda: rerandomize(x, crit, RngStream(3)),
+                     lambda: accepted_sample(x, crit, RngStream(3), 4, basis=narrow)):
+            with pytest.raises(ValueError, match="components but the basis has rank p = 3"):
+                call()
+
+
 class TestLockstep:
     """engine._lockstep runs many rejection searches at once; each must end
     exactly as rerandomize alone ends on the same stream."""
@@ -425,14 +441,18 @@ class TestLockstep:
         bases = [decompose(x) for x in designs]
         runs = [(designs[i % 4], bases[i % 4], calibrate(scheme, 0.05, bases[i % 4], n_cal=200), 16)
                 for scheme in ("rer", "ridge") for i in range(16)]
-        calls = []
+        calls, product, reduction = [], balance._terms, balance._reduce
 
-        def spy(stack, k, rows, weights=None):
-            calls.append((len(stack), k, rows.shape, weights is None))
-            return stacked(stack, k, rows, weights)
+        def terms(u, rows, n_t, out=None):
+            calls.append((len(u), u.shape[-1], rows.shape))
+            return product(u, rows, n_t, out)
 
-        stacked = engine._stacked_distances
-        monkeypatch.setattr(engine, "_stacked_distances", spy)
+        def reduce(t, weights=None):
+            calls[-1] += (weights is None,)
+            return reduction(t, weights)
+
+        monkeypatch.setattr(balance, "_terms", terms)
+        monkeypatch.setattr(balance, "_reduce", reduce)
         streams = [RngStream(72).child(i) for i in range(len(runs))]
         out = np.empty((len(runs), 600), dtype=np.int8)
         result = engine._lockstep(600, self._searches(runs, streams), out)
@@ -447,14 +467,13 @@ class TestLockstep:
         (x, basis), *_ = self._designs(n)
         crits = {k: calibrate("pca", 0.001, basis, k=k) for k in (2, 3)}
         runs = [(x, basis, crits[k], m) for k in (2, 3) for m in (50, 1500)] * 2
-        calls = []
+        calls, product = [], balance._terms
 
-        def spy(stack, k, rows, weights=None):
-            calls.append((k, rows.shape[:2]))
-            return stacked(stack, k, rows, weights)
+        def spy(u, rows, n_t, out=None):
+            calls.append((u.shape[-1], rows.shape[:2]))
+            return product(u, rows, n_t, out)
 
-        stacked = engine._stacked_distances
-        monkeypatch.setattr(engine, "_stacked_distances", spy)
+        monkeypatch.setattr(balance, "_terms", spy)
         streams = [RngStream(73).child(i) for i in range(len(runs))]
         out = np.empty((len(runs), n), dtype=np.int8)
         result = engine._lockstep(n, self._searches(runs, streams), out)

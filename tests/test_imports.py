@@ -12,7 +12,9 @@ name; a use in the tests alone does not keep it.
 Each decision has one owning module: only `core` imports `csv` or `json`
 (it holds the one reader and the one pair of output writers), and only
 `balance` imports from `dist` (thresholds and shrinkage come from the
-calibrated criterion); `__init__` does not re-export `dist`.
+calibrated criterion); `__init__` does not re-export `dist`. The distance
+kernel is `balance`'s own: no other module imports its term product,
+reduction or ridge weights, so every criterion value comes from it.
 """
 
 import ast
@@ -66,13 +68,16 @@ def _unloaded_private_names(sources: list[str]) -> list[str]:
     ]
 
 
-# Imported module -> the package modules allowed to import it.
-_IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance"}}
+# Imported module or package name -> the package modules allowed to import it.
+_IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance"},
+                  **{f".balance.{name}": {"balance"} for name in ("_terms", "_reduce",
+                                                                  "_ridge_weights")}}
 
 
 def _foreign_imports(modules: dict[str, str]) -> list[str]:
-    """Imports of an owned module (see _IMPORT_OWNERS) by any other package
-    module; `modules` maps module names to their source."""
+    """Imports of an owned module or package name (see _IMPORT_OWNERS) by
+    any other package module; `modules` maps module names to their source.
+    A name imported from a package module counts as `.module.name`."""
     found = []
     for module, source in modules.items():
         for node in ast.walk(ast.parse(source)):
@@ -82,6 +87,8 @@ def _foreign_imports(modules: dict[str, str]) -> list[str]:
                 names = ["." + alias.name for alias in node.names]  # from . import x
             elif isinstance(node, ast.ImportFrom):
                 names = ["." * node.level + node.module]
+                if names[0].startswith((".", "rerand.")):
+                    names += [f"{names[0]}.{alias.name}" for alias in node.names]
             else:
                 continue
             for name in names:
@@ -129,8 +136,10 @@ def test_scan_flags_a_foreign_import():
         "balance": "from .dist import chi2_quantile\n",
         "__init__": "from .dist import chi2_cdf\n",
         "cli": "import json\nfrom csv import writer\nfrom . import dist\n",
-        "engine": "import numpy as np\nfrom rerand.dist import shrinkage_coeff\n",
-        "spectral": "import os.path\nfrom .core import standardize\n",
+        "engine": "import numpy as np\nfrom rerand.dist import shrinkage_coeff\n"
+                  "from .balance import BalanceCriterion, _chunk_distances, _ridge_weights\n",
+        "spectral": "import os.path\nfrom .core import standardize\n"
+                    "from rerand.balance import _terms\nfrom .balance import _reduce\n",
     }
     assert _foreign_imports(modules) == [
         "__init__ imports .dist (line 1)",
@@ -138,6 +147,9 @@ def test_scan_flags_a_foreign_import():
         "cli imports csv (line 2)",
         "cli imports .dist (line 3)",
         "engine imports .dist (line 2)",
+        "engine imports .balance._ridge_weights (line 3)",
+        "spectral imports .balance._terms (line 3)",
+        "spectral imports .balance._reduce (line 4)",
     ]
 
 
