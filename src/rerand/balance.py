@@ -44,7 +44,7 @@ path gives a row the bits batch_distances gives it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,23 +85,22 @@ class BalanceCriterion:
     """A calibrated acceptance rule for one randomization scheme.
 
     scheme is one of {"cr", "rer", "ridge", "pca"}; threshold is None for
-    "cr". k is the number of leading components summed ("pca" only; None
-    means all p, which is "rer"). dof records the chi-square degrees of
-    freedom used to set the threshold ("rer"/"pca" only). degenerate flags
-    the rank = n-1 case in which M is the constant n-1 and the rule cannot
-    discriminate. n_cal records the Monte Carlo sample a "ridge" threshold
-    was set on: the first n_cal rows of the calibration stream. A "ridge"
-    rule needs a finite lam >= 0 and n_cal >= 1 (ValueError otherwise).
+    "cr". n and p are the unit count and rank of the basis the rule was
+    calibrated on ("cr" records n alone); it fits no other n, nor another
+    p when p is set. k is the number of leading components summed ("pca"
+    only; None means all p, which is "rer"). n_cal records the Monte Carlo
+    sample a "ridge" threshold was set on: the first n_cal rows of the
+    calibration stream. A "ridge" rule needs a finite lam >= 0 and
+    n_cal >= 1 (ValueError otherwise).
     """
 
     scheme: str
     acceptance_prob: float
-    sigma_factor: float
+    n: int
     threshold: float | None
+    p: int | None = None
     k: int | None = None
     lam: float | None = None
-    dof: int | None = None
-    degenerate: bool = False
     n_cal: int | None = None
 
     def __post_init__(self):
@@ -110,6 +109,21 @@ class BalanceCriterion:
                 raise ValueError("ridge criterion: lam must be a finite nonnegative number")
             if self.n_cal is None or self.n_cal < 1:
                 raise ValueError("ridge criterion: n_cal must be at least 1")
+
+    @property
+    def sigma_factor(self) -> float:
+        """C_n, the sigma_factor of an exact split of the n units."""
+        return sigma_factor(self.n - self.n // 2, self.n // 2)
+
+    @property
+    def dof(self) -> int | None:
+        """The chi-square degrees of freedom of a "rer" or "pca" threshold, k or p."""
+        return self.k or self.p if self.scheme in ("rer", "pca") else None
+
+    @property
+    def degenerate(self) -> bool:
+        """The rule sums all p = n-1 components: the constant n-1, which cannot discriminate."""
+        return self.dof == self.p == self.n - 1
 
     @property
     def shrinkage(self) -> float | None:
@@ -146,7 +160,6 @@ class CovReductionReport:
     per_component_shrinkage: np.ndarray
     per_covariate_prv: np.ndarray
     predicted_tau_var_reduction: float | None = None
-    shrinkage_value: float | None = None
 
 
 def _allocation_factor(w: Allocation) -> float:
@@ -273,34 +286,39 @@ def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresho
     return kept / n_acc / (total / len(w))
 
 
-def _components(criterion: BalanceCriterion, basis: SpectralBasis) -> int:
-    """The count of leading components of basis a criterion sums; ValueError
-    for a "pca" k above the rank p or a "rer" dof other than p."""
-    k, dof, p = criterion.k, criterion.dof, basis.p
-    if (k or 0) > p or criterion.scheme == "rer" and dof not in (None, p):
-        raise ValueError(f"the {criterion.scheme} rule sums {k or dof} components but the basis "
-                         f"has rank p = {p}; calibrate it on this basis")
-    return k or p
+def _components(criterion: BalanceCriterion, n: int, basis: SpectralBasis | None) -> int:
+    """The one fit check, of a criterion on rows of n units and on basis
+    (unread for "cr"): the count of leading components the criterion sums
+    (0 for "cr"), or a ValueError that names both shapes."""
+    c = criterion
+    k = 0 if c.scheme == "cr" else c.k or c.p or basis.p
+    if k and c.threshold is None:
+        raise ValueError("criterion has no calibrated threshold")
+    if c.n != n or k and (basis.n != n or c.p not in (None, basis.p) or k > basis.p):
+        rule = f"n = {c.n}" + ("" if c.p is None else f", p = {c.p}")
+        shape = f"rank p = {basis.p} on n = {basis.n}" if k else f"n = {n}"
+        raise ValueError(f"the {c.scheme} rule calibrated on {rule} sums {k} components but the "
+                         f"basis has {shape} units; calibrate it on this basis")
+    return k
 
 
-def _chunk_distances(runs):
+def _chunk_distances(n: int, runs):
     """The lockstep's per-chunk distances for searches runs[j] = (criterion,
-    basis, ...), each criterion checked against its basis once, here.
+    basis, ...) on n units, each criterion checked once, here.
 
     It maps search indexes js and their (len(js), b, n) exact-split rows to
     their values ("cr" rows are 0.0). One search goes through
     batch_distances; otherwise the searches of one kind of terms and
     component count share one stacked `_terms` product.
     """
-    kinds = [None if c.scheme == "cr" else (c.scheme == "ridge", _components(c, b))
-             for c, b, *_ in runs]
+    kinds = [(c.scheme == "ridge", _components(c, n, b)) for c, b, *_ in runs]
 
     def distances(js, rows):
-        if len(js) == 1 and kinds[js[0]] is not None:
+        if len(js) == 1 and kinds[js[0]][1]:
             return batch_distances(*runs[js[0]][:2], rows[0])[None]
         d, groups = np.zeros(rows.shape[:2]), {}
         for i, j in enumerate(js):
-            if kinds[j] is not None:
+            if kinds[j][1]:
                 groups.setdefault(kinds[j], []).append(i)
         for (ridge, k), group in groups.items():
             searches = [runs[js[i]] for i in group]
@@ -321,10 +339,10 @@ def batch_distances(
     """Criterion values for many allocations at once (rows of w_matrix).
 
     w_matrix holds 0/1 rows of length n that all treat the same number of
-    units, strictly between 0 and n, and basis has the rank a "rer" dof or
-    at most a "pca" k needs (ValueError otherwise). Rows are reduced to
-    distances one `_BLOCK_ROWS`-row block at a time, so the float64 memory
-    held is one block's, whatever the number of rows.
+    units, strictly between 0 and n, and a criterion calibrated on basis's
+    n and p (ValueError otherwise). Rows are reduced to distances one
+    `_BLOCK_ROWS`-row block at a time, so the float64 memory held is one
+    block's, whatever the number of rows.
 
     The top-k criterion touches only the first k left singular vectors,
     so its per-draw cost is O(nk) against O(np) for the full and ridge
@@ -335,7 +353,7 @@ def batch_distances(
     w, n = np.asarray(w_matrix), basis.n
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("allocation length disagrees with basis rows")
-    k = _components(criterion, basis)
+    k = _components(criterion, n, basis)
     # 0/1 entries: the OR of all bytes of int8, uint8 or bool rows is at most 1 exactly then
     if (np.bitwise_or.reduce(w.view(np.uint8), axis=None) > 1 if w.itemsize == 1
             else np.count_nonzero((w != 0) & (w != 1))):
@@ -382,32 +400,30 @@ def calibrate(
     of the calibration stream. "cr" has no threshold and
     reads only the unit count of basis, so the count n may be passed in
     its place, which spares the SVD. Arguments a scheme does not use are
-    ignored. When the criterion sums all p = n-1 components it is the
-    constant n-1; the rule is flagged degenerate and the engine decides it
-    on a single draw.
+    ignored. The rule records basis's n (and p, but for "cr"). When the
+    criterion sums all p = n-1 components it is the constant n-1; the rule
+    is flagged degenerate and the engine decides it on a single draw.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not 0.0 < p_a < 1.0:
         raise ValueError("p_a must lie strictly inside (0, 1)")
     n = basis if scheme == "cr" and isinstance(basis, int) else basis.n
-    c_n = sigma_factor(n - n // 2, n // 2)
 
     if scheme == "cr":
-        return BalanceCriterion("cr", p_a, c_n, threshold=None)
+        return BalanceCriterion("cr", p_a, n, threshold=None)
 
     if scheme == "ridge":
         if lam is None:
             lam = default_lambda(basis)
         _check_lambda(lam)
-        weights = _ridge_weights(basis, c_n, lam)
+        rule = BalanceCriterion("ridge", p_a, n, None, p=basis.p, lam=float(lam), n_cal=n_cal)
+        weights = _ridge_weights(basis, rule.sigma_factor, lam)
         if (weights == 1.0).all():
             raise ValueError(_ZERO_RIDGE_MSG.format(lam=lam))
-        if n_cal < 1:
-            raise ValueError("n_cal must be at least 1")
         rows = half_split_matrix(n, n_cal, _CALIBRATION_STREAM)
         a = float(np.quantile(_batch_distances(basis, rows, (n + 1) // 2, basis.p, weights), p_a))
-        return BalanceCriterion("ridge", p_a, c_n, threshold=a, lam=float(lam), n_cal=n_cal)
+        return replace(rule, threshold=a)
 
     if scheme == "rer":
         k = None
@@ -415,9 +431,7 @@ def calibrate(
         raise ValueError("pca scheme requires k")
     elif not 1 <= k <= basis.p:
         raise ValueError(f"k must lie in [1, {basis.p}]")
-    dof = basis.p if k is None else k
-    crit = BalanceCriterion(scheme, p_a, c_n, threshold=chi2_quantile(dof, p_a), k=k, dof=dof,
-                            degenerate=dof == basis.p == n - 1)
+    crit = BalanceCriterion(scheme, p_a, n, chi2_quantile(k or basis.p, p_a), p=basis.p, k=k)
     if crit.degenerate:
         warnings.warn(crit.note, DegenerateRuleWarning, stacklevel=2)
     return crit
@@ -434,32 +448,28 @@ def predict_reduction(
     """Predicted shrinkage per component, per covariate, and for tau_hat.
 
     For "pca" the component shrinkage is v_{a_k} on the first k components
-    and 1 elsewhere; for "rer" it is v_a everywhere (either way the
-    report's shrinkage_value, criterion.shrinkage); for "ridge" it is a
-    Monte Carlo estimate on the n_cal calibration rows the threshold was
-    set on (see module docstring). It is all ones for "cr" and for a
-    degenerate criterion, which the engine runs as complete
-    randomization; both predict zero reduction and no shrinkage_value.
-    The per-covariate percent reduction and the tau_hat variance
-    reduction follow by rotating the shrunk spectrum back through V.
+    and 1 elsewhere; for "rer" it is v_a everywhere (either way
+    criterion.shrinkage); for "ridge" it is a Monte Carlo estimate on the
+    n_cal calibration rows the threshold was set on (see module
+    docstring). It is all ones for "cr" and for a degenerate criterion,
+    which the engine runs as complete randomization; both predict zero
+    reduction. The per-covariate percent reduction and the tau_hat
+    variance reduction follow by rotating the shrunk spectrum back
+    through V. A criterion that does not fit basis is a ValueError.
     """
-    if criterion.scheme != "cr" and criterion.threshold is None:
-        raise ValueError("criterion has no calibrated threshold")
-    btil = None
+    _components(criterion, basis.n, basis)
     if beta is not None:
-        b = np.asarray(beta, dtype=float)
-        if b.shape != (basis.d,) or not np.isfinite(b).all():
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (basis.d,) or not np.isfinite(beta).all():
             raise ValueError(f"beta must be a finite vector of length d = {basis.d}")
-        btil = basis.v.T @ b
-    shrink_value = criterion.shrinkage
     if criterion.scheme == "ridge":
         rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)
         weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
         shrink = np.clip(_shrinkage(basis, rows, weights, criterion.threshold), 1e-12, 1.0)
     else:
         shrink = np.ones(basis.p)
-        if shrink_value is not None:
-            shrink[: criterion.k] = shrink_value
+        if criterion.shrinkage is not None:
+            shrink[: criterion.k] = criterion.shrinkage
 
     sig2 = basis.singular_values**2
     v2 = basis.v**2  # d x p
@@ -469,14 +479,7 @@ def predict_reduction(
     ok = denom > 0
     prv[ok] = 1.0 - numer[ok] / denom[ok]
 
-    reduction = None
-    if btil is not None:
-        reduction = float(criterion.sigma_factor * ((1.0 - shrink) * sig2 * btil**2).sum())
+    reduction = None if beta is None else float(
+        criterion.sigma_factor * ((1.0 - shrink) * sig2 * (basis.v.T @ beta) ** 2).sum())
 
-    return CovReductionReport(
-        scheme=criterion.scheme,
-        per_component_shrinkage=shrink,
-        per_covariate_prv=prv,
-        predicted_tau_var_reduction=reduction,
-        shrinkage_value=shrink_value,
-    )
+    return CovReductionReport(criterion.scheme, shrink, prv, reduction)

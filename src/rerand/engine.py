@@ -83,13 +83,13 @@ def complete_randomization(n: int, rng, near_equal: bool = False) -> Allocation:
     return Allocation(half_split_matrix(n, 1, as_generator(rng))[0])
 
 
-def _check(n: int, criterion: BalanceCriterion, max_draws: int, near_equal: bool) -> None:
+def _basis(x: CovariateMatrix, criterion: BalanceCriterion, basis, max_draws, near_equal):
+    """basis, else x's own unless the rule is "cr", once max_draws and the split are checked."""
     if max_draws < 1:
         raise ValueError("max_draws must be at least 1")
-    if criterion.scheme != "cr" and criterion.threshold is None:
-        raise ValueError("criterion has no calibrated threshold")
-    if n % 2 == 1 and not near_equal:
+    if x.n % 2 == 1 and not near_equal:
         raise ValueError("odd n requires near_equal=True")
+    return decompose(x) if basis is None and criterion.scheme != "cr" else basis
 
 
 def rerandomize(
@@ -106,7 +106,7 @@ def rerandomize(
     allocation with the smallest criterion value seen is returned with
     accepted=False. A "cr" criterion, and a degenerate one (constant
     distance), is decided on a single draw: complete randomization. A
-    criterion that does not fit the basis is a ValueError.
+    criterion calibrated on another n or p is a ValueError before any draw.
 
     Args:
         x: standardized covariates.
@@ -116,10 +116,8 @@ def rerandomize(
         basis: optional precomputed spectral basis of x.
         near_equal: allow odd n (ceil(n/2) treated).
     """
-    _check(x.n, criterion, max_draws, near_equal)
-    gen, start = as_generator(rng), time.perf_counter()
-    if basis is None and criterion.scheme != "cr":
-        basis = decompose(x)
+    start = time.perf_counter()
+    basis, gen = _basis(x, criterion, basis, max_draws, near_equal), as_generator(rng)
     row = np.empty(x.n, dtype=np.int8)
     value, draws, accepted = _lockstep(x.n, [(criterion, basis, gen, max_draws)], row[None])
     value = None if criterion.scheme == "cr" else float(value[0])
@@ -147,7 +145,7 @@ def _lockstep(n: int, runs, out: np.ndarray):
     caps = [1 if c.scheme == "cr" or c.degenerate else m for c, _, _, m in runs]
     floor, caps = min(caps, default=0), np.array(caps)
     limit = np.array([np.inf if c.scheme == "cr" else c.threshold for c, _, _, _ in runs])
-    distances = _chunk_distances(runs)
+    distances = _chunk_distances(n, runs)
     values, at = np.full(len(runs), np.inf), np.arange(len(runs))
     live, done, batches = at, 0, iter(_BATCHES)
     while len(live):
@@ -199,11 +197,10 @@ def accepted_sample(
         raise TypeError("accepted_sample needs an RngStream to derive substreams")
     if n_accepted < 0:
         raise ValueError("n_accepted must be nonnegative")
-    _check(x.n, criterion, max_draws, False)
+    basis = _basis(x, criterion, basis, max_draws, False)
+    _chunk_distances(x.n, [(criterion, basis)])  # a misfit is named before the note below
     if criterion.degenerate and criterion.threshold < x.n - 1:
         raise ValueError(criterion.note)
-    if basis is None and criterion.scheme != "cr":
-        basis = decompose(x)
     rows = np.empty((n_accepted, x.n), dtype=np.int8)
     ids = _child_ids(np.array([rng.stream_id], dtype=np.uint64),
                      np.arange(n_accepted, dtype=np.uint64))

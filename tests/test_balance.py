@@ -232,7 +232,7 @@ class TestBatchDistances:
             ("ridge", lambda w: mahalanobis_ridge(x, basis, lam, w)),
         ):
             crit = BalanceCriterion(
-                scheme, 0.05, sigma_factor(half, half), threshold=np.inf,
+                scheme, 0.05, n, threshold=np.inf,
                 k=k if scheme == "pca" else None, lam=lam if scheme == "ridge" else None,
                 n_cal=10000 if scheme == "ridge" else None,
             )
@@ -268,9 +268,9 @@ class TestBatchDistances:
         c, lam, k = sigma_factor(31, 31), default_lambda(basis), 4
         weights = _ridge_weights(basis, c, lam)
         for crit in (
-            BalanceCriterion("rer", 0.05, c, threshold=np.inf),
-            BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
-            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam, n_cal=10000),
+            BalanceCriterion("rer", 0.05, 62, threshold=np.inf),
+            BalanceCriterion("pca", 0.05, 62, threshold=np.inf, k=k),
+            BalanceCriterion("ridge", 0.05, 62, threshold=np.inf, lam=lam, n_cal=10000),
         ):
             got = _batch_distances(
                 basis, packed, 31, crit.k or basis.p, weights if crit.scheme == "ridge" else None
@@ -336,19 +336,40 @@ class TestBatchDistances:
             assert batch_distances(crit, basis, rows.astype(dtype)).tobytes() == want
 
     def test_criterion_must_fit_the_basis(self):
-        # A pca rule at k = 4 and a rer rule at dof = 5, both calibrated on a
-        # rank-5 design, summed the 3 terms of a rank-3 design against their
-        # chi-square thresholds at 4 and 5 degrees of freedom.
+        # Rules of a 20 x 5 design, run on other designs. On a rank-3 design
+        # a pca rule at k = 4 and a rer rule at dof = 5 summed its 3 terms
+        # against chi-square thresholds at 4 and 5 degrees of freedom,
+        # predict_reduction gave the k = 4 rule's v_a on all 3 components,
+        # and the ridge rule gave distances of 0.28-4.31 against its
+        # threshold 0.861 (the rank-3 design's own is 0.270). On 40 units the
+        # ridge rule weighted its terms, and predict_reduction scaled every
+        # rule's tau_hat reduction, by the sigma_factor of 20. A degenerate
+        # rule of a 6 x 5 design ran on 20 x 5. Each is now one ValueError
+        # that names both shapes.
         _, wide = _setup(20, 5, 103)
         _, narrow = _setup(20, 3, 104)
+        _, big = _setup(40, 5, 108)
+        with pytest.warns(DegenerateRuleWarning):
+            degenerate = calibrate("rer", 0.05, _setup(6, 5, 110)[1])
         rows = half_split_matrix(20, 4, RngStream(105).generator())
-        for crit in (calibrate("pca", 0.05, wide, k=4), calibrate("rer", 0.05, wide)):
-            with pytest.raises(ValueError, match=f"sums {crit.dof} components .* rank p = 3"):
-                batch_distances(crit, narrow, rows)
-        # a smaller k fits, and so does a rule built by hand without a dof
-        assert batch_distances(calibrate("pca", 0.05, wide, k=3), narrow, rows).shape == (4,)
-        bare = BalanceCriterion("rer", 0.05, sigma_factor(10, 10), threshold=1.0)
+        rules = [calibrate("pca", 0.05, wide, k=4), calibrate("rer", 0.05, wide),
+                 calibrate("ridge", 0.05, wide), calibrate("pca", 0.05, wide, k=3)]
+        shape = ("calibrated on n = {}, p = 5 sums {} components but the basis has rank p = {} "
+                 "on n = {} units")
+        cases = [(c, narrow, shape.format(20, c.k or 5, 3, 20)) for c in rules]
+        cases += [(c, big, shape.format(20, c.k or 5, 5, 40)) for c in rules]
+        cases += [(degenerate, _setup(20, 5, 106)[1], shape.format(6, 5, 5, 20))]
+        for crit, basis, match in cases:
+            w = half_split_matrix(basis.n, 4, RngStream(105).generator())
+            for call in (lambda: batch_distances(crit, basis, w),
+                         lambda: predict_reduction(crit, basis)):
+                with pytest.raises(ValueError, match=match):
+                    call()
+        # a rule built by hand without p is checked on n only
+        bare = BalanceCriterion("rer", 0.05, 20, threshold=1.0)
         assert batch_distances(bare, narrow, rows).shape == (4,)
+        with pytest.raises(ValueError, match="calibrated on n = 20 sums 5 components .* n = 40"):
+            predict_reduction(bare, big)
 
     def test_cr_has_no_distance(self):
         x, basis = _setup(10, 3, 38)
@@ -384,13 +405,12 @@ class TestCriterionIdentities:
         x, basis = _setup(n, d, seed)
         k = max(1, basis.p // 2)
         lam = default_lambda(basis)
-        c = sigma_factor(half, half)
         rows = half_split_matrix(n, 8, RngStream(seed).generator())
         tol = dict(rtol=1e-9, atol=1e-9 * n)
         for crit in (
-            BalanceCriterion("rer", 0.05, c, threshold=np.inf),
-            BalanceCriterion("pca", 0.05, c, threshold=np.inf, k=k),
-            BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=lam, n_cal=10000),
+            BalanceCriterion("rer", 0.05, n, threshold=np.inf),
+            BalanceCriterion("pca", 0.05, n, threshold=np.inf, k=k),
+            BalanceCriterion("ridge", 0.05, n, threshold=np.inf, lam=lam, n_cal=10000),
         ):
             np.testing.assert_allclose(
                 batch_distances(crit, basis, rows),
@@ -541,7 +561,6 @@ class TestCalibrate:
     def test_hand_built_ridge_criterion_needs_lam_and_n_cal(self):
         # named at construction, not as a TypeError deep in predict_reduction
         # or rerandomize
-        c = sigma_factor(5, 5)
         for kwargs, field in (
             (dict(n_cal=100), "lam"),
             (dict(lam=np.nan, n_cal=100), "lam"),
@@ -551,8 +570,8 @@ class TestCalibrate:
             (dict(lam=0.1, n_cal=0), "n_cal"),
         ):
             with pytest.raises(ValueError, match=f"ridge criterion: {field} must be"):
-                BalanceCriterion("ridge", 0.05, c, threshold=1.0, **kwargs)
-        assert BalanceCriterion("ridge", 0.05, c, threshold=1.0, lam=0.0, n_cal=1).lam == 0.0
+                BalanceCriterion("ridge", 0.05, 10, threshold=1.0, **kwargs)
+        assert BalanceCriterion("ridge", 0.05, 10, threshold=1.0, lam=0.0, n_cal=1).lam == 0.0
 
     def test_ridge_calibration_memory_budget(self):
         # Calibration rows are converted and projected in 1024-row blocks, so
@@ -614,7 +633,7 @@ class TestCalibrate:
         assert chi2_quantile.cache_info()[:2] == (2, 1)  # hits, misses
         assert len({c.threshold for c in first}) == 1
         assert first[0].threshold == chi2_quantile.__wrapped__(3, 0.05)
-        values = [predict_reduction(c, basis).shrinkage_value for c in first]
+        values = [c.shrinkage for c in first]
         assert shrinkage_coeff.cache_info()[:2] == (2, 1)
         assert len(set(values)) == 1
         assert values[0] == shrinkage_coeff.__wrapped__(3, first[0].threshold)
@@ -687,8 +706,8 @@ class TestPredictReduction:
         np.testing.assert_allclose(rep.per_component_shrinkage, v_a, rtol=1e-12)
         # equal shrinkage on every component rotates to equal covariate prv
         np.testing.assert_allclose(rep.per_covariate_prv, 1.0 - v_a, rtol=1e-10)
-        assert rep.shrinkage_value == pytest.approx(v_a, rel=1e-12)
-        assert rep.shrinkage_value == crit.shrinkage
+        assert crit.shrinkage == pytest.approx(v_a, rel=1e-12)
+        np.testing.assert_array_equal(rep.per_component_shrinkage, crit.shrinkage)
 
     def test_pca_shrinks_leading_block_only(self):
         x, basis = _setup(30, 5, 55)
@@ -699,7 +718,8 @@ class TestPredictReduction:
         np.testing.assert_array_equal(rep.per_component_shrinkage[2:], 1.0)
         assert np.all(rep.per_covariate_prv >= -1e-12)
         assert np.all(rep.per_covariate_prv <= 1.0 - v_ak + 1e-12)
-        assert rep.shrinkage_value == crit.shrinkage == v_ak
+        np.testing.assert_array_equal(rep.per_component_shrinkage[:2], crit.shrinkage)
+        assert crit.shrinkage == v_ak
 
     def test_ridge_shrinkage_bounds(self):
         x, basis = _setup(30, 5, 56)
@@ -707,7 +727,7 @@ class TestPredictReduction:
         rep = predict_reduction(crit, basis)
         assert np.all(rep.per_component_shrinkage > 0)
         assert np.all(rep.per_component_shrinkage <= 1.0)
-        assert rep.shrinkage_value is None and crit.shrinkage is None
+        assert crit.shrinkage is None
 
     def test_ridge_rule_accepting_no_row_predicts_no_shrinkage(self):
         x, basis = _setup(30, 5, 56)
@@ -801,11 +821,10 @@ class TestPredictReduction:
         np.testing.assert_array_equal(rep.per_component_shrinkage, np.ones(9))
         np.testing.assert_array_equal(rep.per_covariate_prv, np.zeros(20))
         assert rep.predicted_tau_var_reduction == 0.0
-        assert rep.shrinkage_value is None
 
     def test_uncalibrated_rejected(self):
         x, basis = _setup(10, 3, 58)
-        bare = BalanceCriterion("pca", 0.05, 1.0, threshold=None, k=2)
+        bare = BalanceCriterion("pca", 0.05, 10, threshold=None, k=2)
         with pytest.raises(ValueError):
             predict_reduction(bare, basis)
 
@@ -825,9 +844,8 @@ class TestStackedDistances:
             bases = bases[:1] * 4
         gens = [RngStream(9).child(i).generator() for i in range(4)]
         w = half_split_matrix(n, rows, gens).reshape(4, rows, n)
-        c = sigma_factor(n - n // 2, n // 2)
-        summed = BalanceCriterion("pca" if k else "rer", 0.05, c, threshold=np.inf, k=k)
-        ridge = BalanceCriterion("ridge", 0.05, c, threshold=np.inf, lam=0.3, n_cal=1)
+        summed = BalanceCriterion("pca" if k else "rer", 0.05, n, threshold=np.inf, k=k)
+        ridge = BalanceCriterion("ridge", 0.05, n, threshold=np.inf, lam=0.3, n_cal=1)
         products = []
 
         def spy(u, rows, n_t, out=None):
@@ -837,7 +855,7 @@ class TestStackedDistances:
         for crit in (summed, ridge):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(balance, "_terms", spy)
-                got = _chunk_distances([(crit, b) for b in bases])([0, 1, 2, 3], w)
+                got = _chunk_distances(n, [(crit, b) for b in bases])([0, 1, 2, 3], w)
             assert got.shape == (4, rows)
             for i, b in enumerate(bases):
                 assert got[i].tobytes() == batch_distances(crit, b, w[i]).tobytes()

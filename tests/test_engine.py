@@ -341,19 +341,38 @@ class TestAcceptedSample:
 
 
 class TestCriterionBasis:
-    @pytest.mark.parametrize("scheme, k", [("pca", 4), ("rer", None)])
-    def test_engine_rejects_a_criterion_of_another_basis(self, scheme, k):
-        # calibrated on a rank-5 design, run on a rank-3 one: the pca rule
-        # summed 3 terms against its chi-square threshold at 4 degrees of
-        # freedom, the rer rule against 5; now one ValueError, before any draw
-        _, wide = _setup(20, 5, 106)
-        x, narrow = _setup(20, 3, 107)
-        crit = calibrate(scheme, 0.05, wide, k=k)
-        for call in (lambda: rerandomize(x, crit, RngStream(3), basis=narrow),
+    @pytest.mark.parametrize("scheme, k, on, run", [
+        ("pca", 4, (20, 5), (20, 3)), ("rer", None, (20, 5), (20, 3)),
+        ("ridge", None, (20, 5), (20, 3)), ("pca", 4, (20, 5), (40, 5)),
+        ("ridge", None, (20, 5), (40, 5)), ("cr", None, (20, 5), (40, 5)),
+        ("rer", None, (6, 5), (20, 5)),
+    ], ids=["pca-4", "rer-None", "ridge-None", "pca-4-40-units", "ridge-None-40-units",
+            "cr-None-40-units", "rer-None-degenerate"])
+    def test_engine_rejects_a_criterion_of_another_basis(self, scheme, k, on, run, monkeypatch):
+        # calibrated on an n x d design `on`, run on `run`. On a rank-3
+        # design the pca rule summed 3 terms against its chi-square
+        # threshold at 4 degrees of freedom, the rer rule against 5, and
+        # the ridge rule (threshold 0.819; the rank-3 design's own is
+        # 0.214) accepted its first draw. On 40 units the ridge rule weighted
+        # its terms by the sigma_factor of 20, and the pca and cr rules ran
+        # unchecked. The degenerate 6 x 5 rer rule was decided on one draw
+        # of the 20 x 5 design. Now each is one ValueError naming both
+        # shapes, before any draw.
+        _, cal = _setup(*on, 106)
+        x, basis = _setup(*run, 107)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateRuleWarning)
+            crit = calibrate(scheme, 0.05, cal, k=k)
+        rule, shape = ((f"n = {on[0]} sums 0", f"n = {run[0]}") if scheme == "cr" else
+                       (f"n = {on[0]}, p = {on[1]} sums .*", f"rank p = {run[1]} on n = {run[0]}"))
+        match = f"calibrated on {rule} components but the basis has {shape} units"
+        counts = _count_rows(monkeypatch)
+        for call in (lambda: rerandomize(x, crit, RngStream(3), basis=basis),
                      lambda: rerandomize(x, crit, RngStream(3)),
-                     lambda: accepted_sample(x, crit, RngStream(3), 4, basis=narrow)):
-            with pytest.raises(ValueError, match="components but the basis has rank p = 3"):
+                     lambda: accepted_sample(x, crit, RngStream(3), 4, basis=basis)):
+            with pytest.raises(ValueError, match=match):
                 call()
+        assert counts == []
 
 
 class TestLockstep:

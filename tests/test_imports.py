@@ -71,7 +71,7 @@ def _unloaded_private_names(sources: list[str]) -> list[str]:
 # Imported module or package name -> the package modules allowed to import it.
 _IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance"},
                   **{f".balance.{name}": {"balance"} for name in ("_terms", "_reduce",
-                                                                  "_ridge_weights")}}
+                                                                  "_ridge_weights", "_components")}}
 
 
 def _foreign_imports(modules: dict[str, str]) -> list[str]:
@@ -137,7 +137,8 @@ def test_scan_flags_a_foreign_import():
         "__init__": "from .dist import chi2_cdf\n",
         "cli": "import json\nfrom csv import writer\nfrom . import dist\n",
         "engine": "import numpy as np\nfrom rerand.dist import shrinkage_coeff\n"
-                  "from .balance import BalanceCriterion, _chunk_distances, _ridge_weights\n",
+                  "from .balance import BalanceCriterion, _chunk_distances, _ridge_weights\n"
+                  "from .balance import _components\n",
         "spectral": "import os.path\nfrom .core import standardize\n"
                     "from rerand.balance import _terms\nfrom .balance import _reduce\n",
     }
@@ -148,6 +149,7 @@ def test_scan_flags_a_foreign_import():
         "cli imports .dist (line 3)",
         "engine imports .dist (line 2)",
         "engine imports .balance._ridge_weights (line 3)",
+        "engine imports .balance._components (line 4)",
         "spectral imports .balance._terms (line 3)",
         "spectral imports .balance._reduce (line 4)",
     ]

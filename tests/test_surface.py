@@ -23,7 +23,7 @@ import numpy as np
 
 import rerand
 from rerand import balance
-from rerand.balance import calibrate
+from rerand.balance import BalanceCriterion, CovReductionReport, calibrate
 from rerand.core import Allocation, CovariateMatrix, make_allocation, standardize
 from rerand.simharness import FactorGrid
 from rerand.spectral import ComponentSelection, SpectralBasis, decompose, select_k
@@ -90,6 +90,14 @@ def test_domain_types_take_only_their_arrays():
     assert init_fields(Allocation) == ["assignment"]
     assert init_fields(SpectralBasis) == ["u", "singular_values", "v"]
     assert init_fields(ComponentSelection) == ["k", "explained"]
+    # a rule records the (n, p) it was calibrated on; sigma_factor, dof and
+    # degenerate are derived from them, and the report's shrinkage is the rule's
+    assert init_fields(BalanceCriterion) == ["scheme", "acceptance_prob", "n", "threshold", "p",
+                                             "k", "lam", "n_cal"]
+    assert all(isinstance(getattr(BalanceCriterion, name), property)
+               for name in ("sigma_factor", "dof", "degenerate"))
+    assert init_fields(CovReductionReport) == ["scheme", "per_component_shrinkage",
+                                               "per_covariate_prv", "predicted_tau_var_reduction"]
     assert list(inspect.signature(decompose).parameters) == ["x"]
     assert "ridge_n_cal" not in init_fields(FactorGrid)
 
