@@ -301,7 +301,8 @@ def _cmd_simulate(args) -> int:
     if args.timings:
         write_timings_csv(report, os.path.join(args.out, "timings.csv"))
 
-    exhausted = sum(r.exhausted for r in report.records)
+    # every outcome model of a (cell, rho, scheme) repeats its runs' count
+    exhausted = sum({(r.n, r.d, r.rho, r.scheme): r.exhausted for r in report.records}.values())
     print(
         f"simulate: {len(report.records)} records, "
         f"{exhausted} exhausted rejection run(s), outputs in {args.out}"

@@ -7,8 +7,9 @@ noise. Scheme differences are therefore isolated to the allocation,
 which makes the relative metrics precise at small replication counts.
 The kernel (_replications) scores a stack of replications at a time: the
 per-matrix algebra and the keying of every stream run once per stack,
-and the rejection runs of each (cell, scheme) go through the engine's
-one lockstep loop together, at most 256 candidate rows in flight.
+each replication's rule is calibrated on its own basis, and the rejection
+runs of each (cell, scheme) go through the engine's one lockstep loop
+together, at most 256 candidate rows in flight.
 
 Reduction metrics are relative to complete randomization on the same
 draws: r_sigma_bar_sq compares the average (over covariates) variance of
@@ -21,7 +22,6 @@ as its residual.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import combinations
 from operator import attrgetter
@@ -290,10 +290,10 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
     Each replication draws its covariates, outcome noise and one allocation
     per (cell, scheme) from its own streams, all keyed in one vectorized
     pass per stack; its schemes share covariates, basis and noise. Each
-    distinct rule of a (cell, scheme) is calibrated once per stack (ridge
-    once per replication), and one lockstep rejection call per (cell,
-    scheme) serves the stack, writing every replication's row straight into
-    the stack's assignments.
+    replication calibrates its rule on its own basis (a repeated chi-square
+    quantile is a hit on dist's memo), and one lockstep rejection call per
+    (cell, scheme) serves the stack, writing every replication's row
+    straight into the stack's assignments.
     Standardizing, the SVD, selecting k, the signals, group means and
     estimates run once per stack on (reps, n, d) and (reps, n) arrays,
     with the bits of each replication alone, so the stacking changes no
@@ -333,26 +333,17 @@ def _replications(grid: FactorGrid, root: RngStream, rho_idx: int, reps: range):
         seconds, v_ak = np.empty(shape), np.empty(shape)
         exhausted, draws = np.zeros(shape, dtype=bool), np.empty(shape, dtype=int)
         for si, scheme in enumerate(schemes):
-            # Per-allocation cost includes threshold calibration: per
-            # replication for ridge (a Monte Carlo quantile on its basis),
-            # once per distinct (p, k) for the rest. Shared seconds, of a
-            # calibration or of the kernel call, are split equally.
-            rules = [r if scheme == "ridge" else (b.p, k if scheme == "pca" else None)
-                     for r, (b, k) in enumerate(zip(bases, kl))]
-            shares, crits = Counter(rules), {}
-            for rule, basis, k in zip(rules, bases, kl):
-                if rule not in crits:
-                    t0 = time.perf_counter()
-                    try:
-                        crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
-                    except ValueError as exc:  # ridge's lam, negligible on this basis
-                        raise _field_error("lam", str(exc)) from None
-                    cost, v = (time.perf_counter() - t0) / shares[rule], crit.shrinkage
-                    crits[rule] = crit, cost, np.nan if v is None else v
+            # An allocation's cost is its own rule's calibration plus an
+            # equal share of the one lockstep call that serves the stack.
             runs, lo = [], 2 * size + (ci * len(schemes) + si) * size
-            gens = _generators(keys[lo : lo + size])
-            for r, (rule, basis, gen) in enumerate(zip(rules, bases, gens)):
-                crit, seconds[si, r], v_ak[si, r] = crits[rule]
+            for r, (basis, k, gen) in enumerate(zip(bases, kl, _generators(keys[lo : lo + size]))):
+                t0 = time.perf_counter()
+                try:
+                    crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                except ValueError as exc:  # ridge's lam, negligible on this basis
+                    raise _field_error("lam", str(exc)) from None
+                seconds[si, r], v = time.perf_counter() - t0, crit.shrinkage
+                v_ak[si, r] = np.nan if v is None else v
                 runs.append((crit, basis, gen, grid.max_draws))
             t0 = time.perf_counter()
             _, draws[si], accepted = _lockstep(n, runs, w[si])

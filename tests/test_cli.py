@@ -269,6 +269,21 @@ class TestSimulate:
         assert err.endswith("degenerates to complete randomization\n")
         assert err.count("\n") == 1
 
+    def test_summary_counts_each_run_once(self, tmp_path, capsys):
+        # the four degenerate rer runs (rank n-1 = 15, whose constant lies
+        # above the threshold) end without an acceptance; both outcome
+        # models' records repeat them, and the summary counts them once
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("n = 16\nd = 16\nrho = 0.5\nschemes = rer\nsurfaces = linear, exp\n"
+                       "replications = 4\ngroups = 2\nseed = 3\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"4 records, 4 exhausted rejection run(s), outputs in {out}" in printed
+        records = json.loads((out / "summary.json").read_text())["records"]
+        assert [(r["surface"], r["exhausted"], r["mean_draws"]) for r in records
+                if r["scheme"] == "rer"] == [("linear", 4, 1.0), ("exp", 4, 1.0)]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _config(tmp_path / "study.cfg")
         outs = []

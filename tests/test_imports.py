@@ -12,7 +12,9 @@ name; a use in the tests alone does not keep it.
 Each decision has one owning module: only `core` imports `csv` or `json`
 (it holds the one reader and the one pair of output writers), and only
 `balance` imports from `dist` (thresholds and shrinkage come from the
-calibrated criterion); `__init__` does not re-export `dist`. The distance
+calibrated criterion); `__init__` does not re-export `dist`. Only `dist`
+(the chi-square memo) and `core` (the sampler's memos) import `functools`,
+so no second cache is laid over `calibrate`. The distance
 kernel is `balance`'s own: no other module imports its term product,
 reduction or ridge weights, so every criterion value comes from it.
 """
@@ -70,6 +72,7 @@ def _unloaded_private_names(sources: list[str]) -> list[str]:
 
 # Imported module or package name -> the package modules allowed to import it.
 _IMPORT_OWNERS = {"csv": {"core"}, "json": {"core"}, ".dist": {"balance"},
+                  "functools": {"core", "dist"},
                   **{f".balance.{name}": {"balance"} for name in ("_terms", "_reduce",
                                                                   "_ridge_weights", "_components")}}
 
@@ -141,6 +144,7 @@ def test_scan_flags_a_foreign_import():
                   "from .balance import _components\n",
         "spectral": "import os.path\nfrom .core import standardize\n"
                     "from rerand.balance import _terms\nfrom .balance import _reduce\n",
+        "simharness": "import time\nfrom functools import lru_cache\n",
     }
     assert _foreign_imports(modules) == [
         "__init__ imports .dist (line 1)",
@@ -152,6 +156,7 @@ def test_scan_flags_a_foreign_import():
         "engine imports .balance._components (line 4)",
         "spectral imports .balance._terms (line 3)",
         "spectral imports .balance._reduce (line 4)",
+        "simharness imports functools (line 2)",
     ]
 
 

@@ -428,6 +428,8 @@ class TestStudyKernel:
                     assert stack[ci].k[r] == k
                     for si, scheme in enumerate(schemes):
                         crit = calibrate(scheme, grid.p_a, basis, k=k, lam=grid.lam)
+                        v = np.nan if crit.shrinkage is None else crit.shrinkage
+                        assert np.array_equal(stack[ci].v_ak[si, r], v, equal_nan=True)
                         stream = root.child(_ALLOC).child(1).child(rep).child(ci).child(si)
                         w = rerandomize(x, crit, stream, grid.max_draws, basis=basis).allocation
                         diff = group_means(x, w).diff
@@ -438,6 +440,26 @@ class TestStudyKernel:
                             treat = grid.tau * np.asarray(w.assignment, dtype=float)
                             y = g @ beta + treat + np.sqrt(rv) * noise[:n]
                             assert stack[ci].tau_hat[si, mi, r] == sate_estimator(Outcome(y), w)
+
+    def test_one_calibration_per_replication(self, monkeypatch):
+        # every (cell, scheme, replication) calibrates its own rule on its
+        # own basis, cr included: no rule is shared across a stack
+        calls = []
+
+        def counted(scheme, p_a, basis, **kwargs):
+            calls.append((scheme, basis))
+            return calibrate(scheme, p_a, basis, **kwargs)
+
+        monkeypatch.setattr(simharness, "calibrate", counted)
+        grid = FactorGrid(**_KERNEL_GRID)
+        cells, schemes, _ = _layout(grid)
+        with pytest.warns(UserWarning, match="degenerates"):
+            _replications(grid, RngStream(118), 1, range(5))
+        assert [(s, b.n, b.v.shape[0]) for s, b in calls] == [
+            (s, n, d) for n, d in cells for s in schemes for _ in range(5)
+        ]
+        for lo in range(0, len(calls), 5):
+            assert len({id(b) for _, b in calls[lo : lo + 5]}) == 5
 
     def test_k_at_each_matrix_rank(self, monkeypatch):
         # matrices of one stack can differ in numerical rank (here one basis
