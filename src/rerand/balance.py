@@ -32,13 +32,14 @@ set from the covariates alone (default_lambda), following Branson & Shao
 
 Every criterion value comes from one kernel: `_terms` projects 0/1 rows
 on a slice of u, or on an (S, n, k) stack of slices, and `_reduce` sums
-the terms or weights them by ridge. `batch_distances`, ridge calibration
-and the shrinkage estimate take their terms from `_blocks`, 1024 rows at
-a time: it unpacks the packed rows (they never leave this module) and
-reuses one float64 buffer, so a warm ridge calibration at n = 1000,
-d = 180 peaks at about 11 MB. The lockstep's stacked products
-(`_chunk_distances`) keep the layout of the one-search call, so every
-path gives a row the bits batch_distances gives it.
+the terms or weights them by ridge. The fit check `_components` resolves
+a rule's k and ridge weights for every distance path but calibration.
+`batch_distances`, ridge calibration and the shrinkage estimate take
+their terms from `_blocks`, 1024 rows at a time: it unpacks the packed
+rows (they never leave this module) and reuses one float64 buffer, so a
+warm ridge calibration at n = 1000, d = 180 peaks at about 11 MB. The
+lockstep's stacked products (`_chunk_distances`) keep the layout of the
+one-search call, so each path gives a row the bits of batch_distances.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ class BalanceCriterion:
     """A calibrated acceptance rule for one randomization scheme.
 
     scheme is one of {"cr", "rer", "ridge", "pca"}; threshold is None for
-    "cr". n and p are the unit count and rank of the basis the rule was
-    calibrated on ("cr" records n alone); it fits no other n, nor another
-    p when p is set. k is the number of leading components summed ("pca"
-    only; None means all p, which is "rer"). n_cal records the Monte Carlo
-    sample a "ridge" threshold was set on: the first n_cal rows of the
-    calibration stream. A "ridge" rule needs a finite lam >= 0 and
-    n_cal >= 1 (ValueError otherwise).
+    "cr" and never NaN. n >= 2 and p are the unit count and rank of the
+    basis the rule was calibrated on ("cr" records n alone); it fits no
+    other n, nor another p when p is set. k >= 1 is the number of leading
+    components summed ("pca" only; None means all p, which is "rer").
+    acceptance_prob lies in (0, 1). n_cal >= 1 records the Monte Carlo
+    sample a "ridge" threshold was set on, the first n_cal rows of the
+    calibration stream, and "ridge" needs a finite lam >= 0. A field that
+    breaks this is a ValueError that names it.
     """
 
     scheme: str
@@ -104,11 +106,21 @@ class BalanceCriterion:
     n_cal: int | None = None
 
     def __post_init__(self):
-        if self.scheme == "ridge":
-            if self.lam is None or not 0.0 <= self.lam < np.inf:
-                raise ValueError("ridge criterion: lam must be a finite nonnegative number")
-            if self.n_cal is None or self.n_cal < 1:
-                raise ValueError("ridge criterion: n_cal must be at least 1")
+        s = self.scheme
+        if s not in SCHEMES:
+            raise ValueError(f"criterion: scheme must be one of {SCHEMES}, not {s!r}")
+        if not 0.0 < self.acceptance_prob < 1.0:
+            raise ValueError("criterion: acceptance_prob must lie strictly inside (0, 1)")
+        if self.n < 2:
+            raise ValueError("criterion: n must be at least 2")
+        if self.k is not None and (s != "pca" or self.k < 1):
+            raise ValueError(f"{s} criterion: k must be {'at least 1' if s == 'pca' else 'None'}")
+        if self.threshold != self.threshold:  # NaN; plain Python, run once per replication
+            raise ValueError(f"{s} criterion: threshold must not be NaN")
+        if s == "ridge" and (self.lam is None or not 0.0 <= self.lam < np.inf):
+            raise ValueError("ridge criterion: lam must be a finite nonnegative number")
+        if s == "ridge" and (self.n_cal is None or self.n_cal < 1):
+            raise ValueError("ridge criterion: n_cal must be at least 1")
 
     @property
     def sigma_factor(self) -> float:
@@ -286,10 +298,11 @@ def _shrinkage(basis: SpectralBasis, w: np.ndarray, weights: np.ndarray, thresho
     return kept / n_acc / (total / len(w))
 
 
-def _components(criterion: BalanceCriterion, n: int, basis: SpectralBasis | None) -> int:
+def _components(criterion: BalanceCriterion, n: int, basis: SpectralBasis | None):
     """The one fit check, of a criterion on rows of n units and on basis
-    (unread for "cr"): the count of leading components the criterion sums
-    (0 for "cr"), or a ValueError that names both shapes."""
+    (unread for "cr"): (k, weights), the count of leading components the
+    criterion sums (0 for "cr") and its ridge weights (None unless
+    "ridge"), or a ValueError that names both shapes."""
     c = criterion
     k = 0 if c.scheme == "cr" else c.k or c.p or basis.p
     if k and c.threshold is None:
@@ -299,35 +312,34 @@ def _components(criterion: BalanceCriterion, n: int, basis: SpectralBasis | None
         shape = f"rank p = {basis.p} on n = {basis.n}" if k else f"n = {n}"
         raise ValueError(f"the {c.scheme} rule calibrated on {rule} sums {k} components but the "
                          f"basis has {shape} units; calibrate it on this basis")
-    return k
+    return k, _ridge_weights(basis, c.sigma_factor, c.lam) if c.scheme == "ridge" else None
 
 
 def _chunk_distances(n: int, runs):
     """The lockstep's per-chunk distances for searches runs[j] = (criterion,
-    basis, ...) on n units, each criterion checked once, here.
+    basis, ...) on n units, each criterion checked and resolved once, here.
 
     It maps search indexes js and their (len(js), b, n) exact-split rows to
     their values ("cr" rows are 0.0). One search goes through
     batch_distances; otherwise the searches of one kind of terms and
     component count share one stacked `_terms` product.
     """
-    kinds = [(c.scheme == "ridge", _components(c, n, b)) for c, b, *_ in runs]
+    fits = [_components(c, n, b) for c, b, *_ in runs]
 
     def distances(js, rows):
-        if len(js) == 1 and kinds[js[0]][1]:
+        if len(js) == 1 and fits[js[0]][0]:
             return batch_distances(*runs[js[0]][:2], rows[0])[None]
         d, groups = np.zeros(rows.shape[:2]), {}
-        for i, j in enumerate(js):
-            if kinds[j][1]:
-                groups.setdefault(kinds[j], []).append(i)
+        for i, (k, weights) in enumerate(fits[j] for j in js):
+            if k:
+                groups.setdefault((weights is not None, k), []).append(i)
         for (ridge, k), group in groups.items():
-            searches = [runs[js[i]] for i in group]
-            us = [s[1].u[:, :k] for s in searches]
-            shared = all(s[1] is searches[0][1] for s in searches)  # accepted_sample
+            bases = [runs[js[i]][1] for i in group]
+            us = [b.u[:, :k] for b in bases]
+            shared = all(b is bases[0] for b in bases)  # accepted_sample
             u = np.broadcast_to(us[0], (len(us), *us[0].shape)) if shared else np.array(us)
             t = _terms(u, rows[group], (rows.shape[2] + 1) // 2)
-            d[group] = _reduce(t, [_ridge_weights(b, c.sigma_factor, c.lam)
-                                   for c, b, *_ in searches] if ridge else None)
+            d[group] = _reduce(t, [fits[js[i]][1] for i in group] if ridge else None)
         return d
 
     return distances
@@ -353,7 +365,7 @@ def batch_distances(
     w, n = np.asarray(w_matrix), basis.n
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError("allocation length disagrees with basis rows")
-    k = _components(criterion, n, basis)
+    k, weights = _components(criterion, n, basis)
     # 0/1 entries: the OR of all bytes of int8, uint8 or bool rows is at most 1 exactly then
     if (np.bitwise_or.reduce(w.view(np.uint8), axis=None) > 1 if w.itemsize == 1
             else np.count_nonzero((w != 0) & (w != 1))):
@@ -364,9 +376,6 @@ def batch_distances(
     n_t = int(counts[0]) if len(w) else 0
     if not 0 < n_t < n or np.count_nonzero(counts != n_t):
         raise ValueError("rows must all treat the same number of units, strictly between 0 and n")
-    weights = None
-    if criterion.scheme == "ridge":
-        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
     return _batch_distances(basis, w, n_t, k, weights)
 
 
@@ -457,14 +466,13 @@ def predict_reduction(
     variance reduction follow by rotating the shrunk spectrum back
     through V. A criterion that does not fit basis is a ValueError.
     """
-    _components(criterion, basis.n, basis)
+    _, weights = _components(criterion, basis.n, basis)
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (basis.d,) or not np.isfinite(beta).all():
             raise ValueError(f"beta must be a finite vector of length d = {basis.d}")
-    if criterion.scheme == "ridge":
+    if weights is not None:
         rows = half_split_matrix(basis.n, criterion.n_cal, _CALIBRATION_STREAM)
-        weights = _ridge_weights(basis, criterion.sigma_factor, criterion.lam)
         shrink = np.clip(_shrinkage(basis, rows, weights, criterion.threshold), 1e-12, 1.0)
     else:
         shrink = np.ones(basis.p)

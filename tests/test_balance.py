@@ -35,6 +35,7 @@ from rerand.core import (
     standardize,
 )
 from rerand.dist import chi2_quantile, shrinkage_coeff
+from rerand.engine import _lockstep
 from rerand.spectral import decompose
 
 
@@ -558,19 +559,44 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="at lambda = 1e-300 every ridge weight is 1 and it"):
             calibrate("ridge", 0.05, basis, lam=1e-300)
 
-    def test_hand_built_ridge_criterion_needs_lam_and_n_cal(self):
+    def test_hand_built_criterion_rejects_a_rule_that_cannot_be_valid(self):
         # named at construction, not as a TypeError deep in predict_reduction
-        # or rerandomize
-        for kwargs, field in (
-            (dict(n_cal=100), "lam"),
-            (dict(lam=np.nan, n_cal=100), "lam"),
-            (dict(lam=np.inf, n_cal=100), "lam"),
-            (dict(lam=-1.0, n_cal=100), "lam"),
-            (dict(lam=0.1), "n_cal"),
-            (dict(lam=0.1, n_cal=0), "n_cal"),
+        # or rerandomize, nor as a rule that runs with other values than it holds
+        nan = float("nan")
+        for scheme, threshold, kwargs, field in (
+            ("ridge", 1.0, dict(n_cal=100), "lam"),
+            ("ridge", 1.0, dict(lam=np.nan, n_cal=100), "lam"),
+            ("ridge", 1.0, dict(lam=np.inf, n_cal=100), "lam"),
+            ("ridge", 1.0, dict(lam=-1.0, n_cal=100), "lam"),
+            ("ridge", 1.0, dict(lam=0.1), "n_cal"),
+            ("ridge", 1.0, dict(lam=0.1, n_cal=0), "n_cal"),
+            ("Pca", 1.0, dict(p=5, k=2), "scheme"),  # ran with dof and shrinkage None
+            ("rer", 1.0, dict(p=5, k=3), "k"),  # summed 3 of the 5 components
+            ("ridge", 1.0, dict(p=5, k=3, lam=0.1, n_cal=1), "k"),
+            ("pca", 1.0, dict(p=5, k=0), "k"),  # summed all 5 components
+            ("pca", 1.0, dict(p=5, k=-1), "k"),
+            ("rer", nan, dict(p=5), "threshold"),  # exhausted max_draws
+            ("pca", np.float64(nan), dict(p=5, k=2), "threshold"),
+            ("ridge", nan, dict(p=5, lam=0.1, n_cal=1), "threshold"),
         ):
-            with pytest.raises(ValueError, match=f"ridge criterion: {field} must be"):
-                BalanceCriterion("ridge", 0.05, 10, threshold=1.0, **kwargs)
+            with pytest.raises(ValueError, match=f"criterion: {field} must"):
+                BalanceCriterion(scheme, 0.05, 20, threshold, **kwargs)
+        for p_a in (0.0, 1.0, -0.5, 1.5, nan):
+            with pytest.raises(ValueError, match="criterion: acceptance_prob must"):
+                BalanceCriterion("rer", p_a, 20, 1.0, p=5)
+        for n in (1, 0, -2):
+            with pytest.raises(ValueError, match="criterion: n must be at least 2"):
+                BalanceCriterion("cr", 0.05, n, None)
+            with pytest.raises(ValueError, match="criterion: n must be at least 2"):
+                calibrate("cr", 0.05, n)  # n = 1 raised ZeroDivisionError at sigma_factor
+        # calibrate names its own arguments first
+        with pytest.raises(ValueError, match="unknown scheme 'Pca'"):
+            calibrate("Pca", 0.05, 20)
+        with pytest.raises(ValueError, match="p_a must lie strictly inside"):
+            calibrate("cr", 1.0, 20)
+        # a negative or infinite threshold and an uncalibrated rule are valid
+        for threshold in (-1.0, np.inf, None):
+            assert BalanceCriterion("pca", 0.05, 20, threshold, p=5, k=2).threshold is threshold
         assert BalanceCriterion("ridge", 0.05, 10, threshold=1.0, lam=0.0, n_cal=1).lam == 0.0
 
     def test_ridge_calibration_memory_budget(self):
@@ -860,3 +886,22 @@ class TestStackedDistances:
             for i, b in enumerate(bases):
                 assert got[i].tobytes() == batch_distances(crit, b, w[i]).tobytes()
         assert products == [((4, n, k or d), w.shape), ((4, n, d), w.shape)]
+
+    def test_lockstep_resolves_each_ridge_rule_once(self, monkeypatch):
+        # the fit check resolves a rule's ridge weights once per lockstep
+        # call, not once per chunk: at threshold -1 four searches stay live
+        # through all three rounds of 80 draws (16, 16, 48 rows), which made
+        # 12 weight calls when each chunk rebuilt them
+        n, bases = 30, [_setup(30, 5, 130 + i)[1] for i in range(4)]
+        crit = BalanceCriterion("ridge", 0.05, n, threshold=-1.0, lam=0.3, n_cal=1)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _ridge_weights(*args)
+
+        monkeypatch.setattr(balance, "_ridge_weights", spy)
+        runs = [(crit, b, RngStream(3).child(i).generator(), 80) for i, b in enumerate(bases)]
+        _, draws, accepted = _lockstep(n, runs, np.empty((4, n), dtype=np.int8))
+        assert draws.tolist() == [80] * 4 and not accepted.any()
+        assert len(calls) == 4 and all(args[0] is b for args, b in zip(calls, bases))

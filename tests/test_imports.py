@@ -16,7 +16,11 @@ calibrated criterion); `__init__` does not re-export `dist`. Only `dist`
 (the chi-square memo) and `core` (the sampler's memos) import `functools`,
 so no second cache is laid over `calibrate`. The distance
 kernel is `balance`'s own: no other module imports its term product,
-reduction or ridge weights, so every criterion value comes from it.
+reduction or ridge weights, so every criterion value comes from it. Within
+the package, only the fit check (`_components`), `calibrate` (whose rule
+has no threshold yet) and the reference `mahalanobis_ridge` call
+`_ridge_weights`, so every distance path reads a rule's weights from the
+fit check.
 """
 
 import ast
@@ -157,6 +161,47 @@ def test_scan_flags_a_foreign_import():
         "spectral imports .balance._terms (line 3)",
         "spectral imports .balance._reduce (line 4)",
         "simharness imports functools (line 2)",
+    ]
+
+
+# Private function -> the only package functions that may call it.
+_CALLERS = {"_ridge_weights": {"_components", "calibrate", "mahalanobis_ridge"}}
+
+
+def _foreign_calls(modules: dict[str, str]) -> list[str]:
+    """Calls of a function named in _CALLERS, as a bare name or an
+    attribute, from anywhere but the top-level functions allowed to call
+    it; a call in a nested function counts for its outermost function."""
+    found = []
+    for module, source in modules.items():
+        for top in ast.parse(source).body:
+            caller = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in _CALLERS and caller not in _CALLERS[name]:
+                        found.append(f"{module}.{caller} calls {name} (line {node.lineno})")
+    return found
+
+
+def test_only_the_fit_check_resolves_ridge_weights():
+    modules = {p.stem: p.read_text() for p in sorted((_ROOT / "src" / "rerand").glob("*.py"))}
+    assert _foreign_calls(modules) == []
+
+
+def test_scan_flags_a_foreign_call():
+    balance = (
+        "def _components(c):\n    return _ridge_weights(c)\n\n\n"
+        "def _chunk_distances(runs):\n    def distances(js):\n"
+        "        return [_ridge_weights(r) for r in runs]\n    return distances\n\n\n"
+        "def calibrate(b):\n    return _ridge_weights(b), _components(b)\n\n\n"
+        "weights = _ridge_weights(None)\n"
+    )
+    engine = "from . import balance\n\n\ndef predict(c):\n    return balance._ridge_weights(c)\n"
+    assert _foreign_calls({"balance": balance, "engine": engine}) == [
+        "balance._chunk_distances calls _ridge_weights (line 7)",
+        "balance.<module> calls _ridge_weights (line 15)",
+        "engine.predict calls _ridge_weights (line 5)",
     ]
 
 
